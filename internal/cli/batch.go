@@ -37,7 +37,6 @@ func cmdBatch(args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "validation workers (0 = GOMAXPROCS)")
 	report := fs.String("report", "text", "report format: text or json")
 	exemplars := fs.Int("exemplars", 3, "failure exemplars kept per characteristic (-1 = none)")
-	rows := fs.Bool("rows", false, "force the per-record row path (disable vectorized evaluation)")
 	decodeErrs := fs.Int("decode-errors", 10, "decode errors reported with line numbers (-1 = none)")
 	unique := fs.String("unique", "", "comma-separated key fields that must be unique across the dataset")
 	uniqueMaxExact := fs.Int("unique-max-exact", 0,
@@ -167,7 +166,6 @@ func cmdBatch(args []string, out io.Writer) error {
 	res, runErr := dqbatch.Run(ctx, enf.Validator(), src, dqbatch.Options{
 		Workers:         *workers,
 		MaxExemplars:    *exemplars,
-		ForceRows:       *rows,
 		MaxDecodeErrors: *decodeErrs,
 		CrossRecord:     cross,
 	})
@@ -214,7 +212,8 @@ func splitFields(s string) []string {
 // openSource opens the record stream, picking the decoder from -format or
 // the file extension (.csv → CSV, anything else → NDJSON). File paths go
 // through dqbatch.OpenFileSource, which memory-maps regular files where
-// the platform allows; stdin stays on the streaming decoders.
+// the platform allows; stdin goes through the reader-backed sources, whose
+// NDJSON spans feed the same decoder as the mapped ones.
 func openSource(path, format string) (dqbatch.Source, func() error, error) {
 	if format != "" && format != "ndjson" && format != "csv" {
 		return nil, nil, fmt.Errorf("unknown record format %q (ndjson or csv)", format)

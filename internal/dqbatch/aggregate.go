@@ -1,6 +1,7 @@
 package dqbatch
 
 import (
+	"math"
 	"sort"
 
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
@@ -22,7 +23,7 @@ type shard struct {
 	// memoized characteristics to detect a shape change and fall back.
 	byIdx  []*charAgg
 	byChar []iso25012.Characteristic
-	// latency reservoir: stride-sampled per-record validation seconds,
+	// latency reservoir: per-chunk amortized per-record validation seconds,
 	// overwritten cyclically once full so memory stays bounded.
 	samples   []float64
 	sampleIdx int
@@ -37,7 +38,7 @@ type charAgg struct {
 	passed    int64
 	minScore  float64
 	maxScore  float64
-	sumScore  float64
+	sum       exactSum
 	exemplars []Exemplar
 }
 
@@ -75,48 +76,9 @@ func (s *shard) agg(i int, ch iso25012.Characteristic) *charAgg {
 	return ca
 }
 
-// observe folds one record's validation report into the shard. ordinal is
-// the record's 1-based position in the input; maxExemplars caps retained
-// failures per characteristic.
-func (s *shard) observe(ordinal int64, rep *dqruntime.Report, maxExemplars int) (passed bool) {
-	s.records++
-	passed = true
-	for i := range rep.Results {
-		res := &rep.Results[i]
-		ca := s.agg(i, res.Characteristic)
-		ca.checks++
-		ca.sumScore += res.Score
-		if res.Score < ca.minScore {
-			ca.minScore = res.Score
-		}
-		if res.Score > ca.maxScore {
-			ca.maxScore = res.Score
-		}
-		if res.Passed {
-			ca.passed++
-			continue
-		}
-		passed = false
-		if len(ca.exemplars) < maxExemplars {
-			ca.exemplars = append(ca.exemplars, Exemplar{
-				Record:  ordinal,
-				Check:   res.Check,
-				Details: append([]string(nil), res.Details...),
-			})
-		}
-	}
-	if passed {
-		s.passed++
-	} else {
-		s.failed++
-	}
-	return passed
-}
-
 // observeBatch folds one columnar batch report into the shard. The fold is
-// row-outer — for each row, across checks — reproducing the row path's
-// exact float addition order and exemplar capture order, so a vectorized
-// run's merged statistics are bit-identical to a sequential row run's.
+// row-outer — for each row, across checks — so exemplars are captured in
+// record order, exactly as a sequential per-record run captures them.
 func (s *shard) observeBatch(base int64, rep *dqruntime.BatchReport, maxExemplars int) (pass, fail uint64) {
 	rows := rep.Rows()
 	nres := len(rep.Results)
@@ -128,7 +90,7 @@ func (s *shard) observeBatch(base int64, rep *dqruntime.BatchReport, maxExemplar
 			ca := s.agg(i, res.Characteristic)
 			ca.checks++
 			score := res.Score[r]
-			ca.sumScore += score
+			ca.sum.add(score)
 			if score < ca.minScore {
 				ca.minScore = score
 			}
@@ -190,7 +152,8 @@ type CharacteristicStats struct {
 }
 
 // mergeShards folds the per-worker shards into sorted per-characteristic
-// statistics plus the pooled latency reservoir.
+// statistics plus the pooled latency reservoir. Score sums are exact, so
+// the result is the same bits whichever worker scored which chunk.
 func mergeShards(shards []*shard, maxExemplars int) (stats []CharacteristicStats, samples []float64) {
 	merged := map[iso25012.Characteristic]*charAgg{}
 	for _, s := range shards {
@@ -202,7 +165,7 @@ func mergeShards(shards []*shard, maxExemplars int) (stats []CharacteristicStats
 			}
 			m.checks += ca.checks
 			m.passed += ca.passed
-			m.sumScore += ca.sumScore
+			m.sum.merge(&ca.sum)
 			if ca.minScore < m.minScore {
 				m.minScore = ca.minScore
 			}
@@ -218,17 +181,18 @@ func mergeShards(shards []*shard, maxExemplars int) (stats []CharacteristicStats
 		samples = append(samples, s.samples...)
 	}
 	for ch, m := range merged {
+		sum := m.sum.value()
 		cs := CharacteristicStats{
 			Characteristic: ch,
 			Checks:         m.checks,
 			Passed:         m.passed,
 			MinScore:       m.minScore,
 			MaxScore:       m.maxScore,
-			SumScore:       m.sumScore,
+			SumScore:       sum,
 			Exemplars:      m.exemplars,
 		}
 		if m.checks > 0 {
-			cs.MeanScore = m.sumScore / float64(m.checks)
+			cs.MeanScore = sum / float64(m.checks)
 		}
 		sort.Slice(cs.Exemplars, func(i, j int) bool { return cs.Exemplars[i].Record < cs.Exemplars[j].Record })
 		if len(cs.Exemplars) > maxExemplars {
@@ -238,4 +202,70 @@ func mergeShards(shards []*shard, maxExemplars int) (stats []CharacteristicStats
 	}
 	sort.Slice(stats, func(i, j int) bool { return stats[i].Characteristic < stats[j].Characteristic })
 	return stats, samples
+}
+
+// exactSum accumulates float64 values without rounding error: Shewchuk's
+// non-overlapping partials, as in Python's math.fsum. The sum it returns
+// is the correctly rounded total of everything added, so it does not
+// depend on the order of the additions — a score sum comes out the same
+// at any worker count, chunk size or chunk assignment. Scores are finite,
+// so the infinity and NaN handling of a general fsum is left out.
+type exactSum struct {
+	partials []float64
+}
+
+// add folds x into the partials.
+func (s *exactSum) add(x float64) {
+	i := 0
+	for _, y := range s.partials {
+		if math.Abs(x) < math.Abs(y) {
+			x, y = y, x
+		}
+		hi := x + y
+		if lo := y - (hi - x); lo != 0 {
+			s.partials[i] = lo
+			i++
+		}
+		x = hi
+	}
+	s.partials = append(s.partials[:i], x)
+}
+
+// merge folds every partial of o into s.
+func (s *exactSum) merge(o *exactSum) {
+	for _, x := range o.partials {
+		s.add(x)
+	}
+}
+
+// value returns the correctly rounded sum (round half to even).
+func (s *exactSum) value() float64 {
+	p := s.partials
+	n := len(p)
+	if n == 0 {
+		return 0
+	}
+	n--
+	hi := p[n]
+	var lo float64
+	for n > 0 {
+		x := hi
+		n--
+		y := p[n]
+		hi = x + y
+		lo = y - (hi - x)
+		if lo != 0 {
+			break
+		}
+	}
+	// Half-way case: the partials below lo push the total past the tie, so
+	// round away from hi when they share lo's sign.
+	if n > 0 && ((lo < 0 && p[n-1] < 0) || (lo > 0 && p[n-1] > 0)) {
+		y := lo * 2
+		x := hi + y
+		if y == x-hi {
+			hi = x
+		}
+	}
+	return hi
 }

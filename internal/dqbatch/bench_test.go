@@ -1,8 +1,9 @@
-// Benchmarks for the batch engine: a single-threaded ValidateInto loop as
-// the honest baseline, then the worker pool at 2/4/8 workers over the
-// same dataset. Each reports records/sec plus stride-sampled per-record
-// latency percentiles; scripts/bench.sh parses them into BENCH_batch.json
-// so the throughput trajectory has data points.
+// Benchmarks for the batch engine: a single-threaded ValidateInto loop —
+// the per-record reference's kernel — as the honest baseline, the
+// engine-less columnar kernel, then the full engine over the same
+// dataset. Each reports records/sec, some plus sampled per-record latency
+// percentiles; scripts/bench.sh parses them into BENCH_batch.json so the
+// throughput trajectory has data points.
 package dqbatch
 
 import (
@@ -23,7 +24,7 @@ import (
 // handoff amortizes to noise, small enough for quick -benchtime runs.
 const benchRecords = 50000
 
-func benchValidator(b *testing.B) *dqruntime.Validator {
+func benchValidator(b testing.TB) *dqruntime.Validator {
 	b.Helper()
 	e := easychair.MustBuildModel()
 	dqsr, _, err := transform.RunDQR2DQSR(e.Model)
@@ -57,8 +58,8 @@ func benchDataset() []dqruntime.Record {
 	return recs
 }
 
-// BenchmarkBatchSequential is the baseline: one goroutine, one reused
-// Report, no engine machinery.
+// BenchmarkBatchSequential is the baseline: the per-record reference's
+// kernel — one goroutine, one reused Report, no engine machinery.
 func BenchmarkBatchSequential(b *testing.B) {
 	v := benchValidator(b)
 	recs := benchDataset()
@@ -170,61 +171,32 @@ func BenchmarkBatchVectorized(b *testing.B) {
 	benchVectorized(b, benchValidator(b))
 }
 
-// BenchmarkBatchVectorized8 runs the full engine on the vectorized path:
-// a pre-columnarized ColumnSource streaming zero-copy chunk views through
-// 8 workers, each scoring whole columns per chunk.
+// BenchmarkBatchVectorized8 runs the full engine: a pre-columnarized
+// ColumnSource streaming zero-copy chunk views through 8 workers, each
+// scoring whole columns per chunk.
 func BenchmarkBatchVectorized8(b *testing.B) {
-	v := benchValidator(b)
-	src := NewColumnSource(benchDataset())
-	opts := Options{Workers: 8, Registry: obs.NewRegistry()}
-	var last *Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src.Rewind()
-		res, err := Run(context.Background(), v, src, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Vectorized {
-			b.Fatal("vectorized path did not engage")
-		}
-		if res.Records != benchRecords || res.Failed != benchRecords/10 {
-			b.Fatalf("result = %+v", res)
-		}
-		last = res
-	}
-	b.StopTimer()
-	reportThroughput(b, int64(b.N)*benchRecords)
-	b.ReportMetric(last.LatencyP50*1e9, "p50_ns")
-	b.ReportMetric(last.LatencyP99*1e9, "p99_ns")
+	benchEngine(b, Options{Workers: 8})
 }
 
-func BenchmarkBatchParallel2(b *testing.B) { benchParallel(b, 2) }
-func BenchmarkBatchParallel4(b *testing.B) { benchParallel(b, 4) }
-func BenchmarkBatchParallel8(b *testing.B) { benchParallel(b, 8) }
-
-// BenchmarkBatchAttributed8 is BenchmarkBatchParallel8 with quality
+// BenchmarkBatchAttributed8 is BenchmarkBatchVectorized8 with quality
 // attribution switched on: the merged per-characteristic stats also land
 // in a windowed SeriesSet after the shard merge. scripts/bench.sh compares
 // the two into BENCH_obs.json — attribution happens once per
 // characteristic per run, not per record, so the overhead should be noise.
 func BenchmarkBatchAttributed8(b *testing.B) {
 	quality := obs.NewSeriesSet(time.Minute, 60)
-	benchParallelOpts(b, Options{Workers: 8, Quality: quality, Context: "bench"})
+	benchEngine(b, Options{Workers: 8, Quality: quality, Context: "bench"})
 }
 
-func benchParallel(b *testing.B, workers int) {
-	benchParallelOpts(b, Options{Workers: workers})
-}
-
-func benchParallelOpts(b *testing.B, opts Options) {
+func benchEngine(b *testing.B, opts Options) {
 	v := benchValidator(b)
-	recs := benchDataset()
+	src := NewColumnSource(benchDataset())
 	opts.Registry = obs.NewRegistry()
 	var last *Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), v, NewSliceSource(recs), opts)
+		src.Rewind()
+		res, err := Run(context.Background(), v, src, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,7 +228,7 @@ func benchUniquenessDataset() []dqruntime.Record {
 // cap forces the Bloom mode from the first chunks.
 func benchUniqueness(b *testing.B, workers, maxExact int) {
 	v := benchValidator(b)
-	recs := benchUniquenessDataset()
+	src := NewColumnSource(benchUniquenessDataset())
 	opts := Options{
 		Workers:  workers,
 		Registry: obs.NewRegistry(),
@@ -266,7 +238,8 @@ func benchUniqueness(b *testing.B, workers, maxExact int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), v, NewSliceSource(recs), opts)
+		src.Rewind()
+		res, err := Run(context.Background(), v, src, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
-// Benchmarks for the zero-copy ingest path: decode-only mmap-vs-bufio,
-// end-to-end engine runs over a real file through both sources, and the
-// uniqueness key handling before/after the hashed-table rewrite.
+// Benchmarks for the zero-copy ingest path: decode-only mmap-vs-bufio
+// (the bufio side is NDJSONSource's buffered block reader), end-to-end
+// engine runs over a real file through both sources, and the uniqueness
+// key handling before/after the hashed-table rewrite.
 // scripts/bench.sh parses them into BENCH_batch.json speedup keys
 // (mmap_vs_bufio, file_mmap_vs_bufio, uniqueness_key_allocs_reduction).
 package dqbatch
@@ -34,9 +35,10 @@ func benchNDJSONDoc() []byte {
 	return b.Bytes()
 }
 
-// benchDecode drains NextBatch over the benchmark document — decoding
-// only, no validation — so the mmap/bufio pair isolates the ingest cost.
-func benchDecode(b *testing.B, mk func() BatchSource) {
+// benchDecode drains the benchmark document chunk by chunk on one
+// goroutine — span cutting plus decoding, no validation — so the
+// mmap/bufio pair isolates the ingest cost.
+func benchDecode(b *testing.B, mk func() Source) {
 	var batch dqruntime.ColumnBatch
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -45,7 +47,7 @@ func benchDecode(b *testing.B, mk func() BatchSource) {
 		rows := 0
 		for {
 			batch.Reset()
-			n, err := src.NextBatch(&batch, 256, func(int64, error) {
+			n, err := readChunk(src, &batch, 256, func(int64, error) {
 				b.Fatal("malformed line in benchmark document")
 			})
 			rows += n
@@ -64,18 +66,19 @@ func benchDecode(b *testing.B, mk func() BatchSource) {
 	reportThroughput(b, int64(b.N)*benchRecords)
 }
 
-// BenchmarkDecodeBufio is the scanner + encoding/json decode baseline.
+// BenchmarkDecodeBufio copies lines through the buffered block reader
+// into span buffers, then decodes them.
 func BenchmarkDecodeBufio(b *testing.B) {
 	doc := string(benchNDJSONDoc())
-	benchDecode(b, func() BatchSource { return NewNDJSONSource(strings.NewReader(doc)) })
+	benchDecode(b, func() Source { return NewNDJSONSource(strings.NewReader(doc)) })
 }
 
-// BenchmarkDecodeMmap slices records out of an in-memory mapping through
-// the fast flat-JSON parser — compare with BenchmarkDecodeBufio for the
-// zero-copy ingest speedup.
+// BenchmarkDecodeMmap slices spans out of an in-memory mapping without
+// copying — compare with BenchmarkDecodeBufio for the zero-copy ingest
+// speedup.
 func BenchmarkDecodeMmap(b *testing.B) {
 	doc := benchNDJSONDoc()
-	benchDecode(b, func() BatchSource { return NewMmapNDJSONSource(doc) })
+	benchDecode(b, func() Source { return NewMmapNDJSONSource(doc) })
 }
 
 // benchFile runs the full engine over a real on-disk file through the
@@ -109,8 +112,8 @@ func benchFile(b *testing.B, open func(path string) (Source, func() error, error
 	reportThroughput(b, int64(b.N)*benchRecords)
 }
 
-// BenchmarkBatchFileBufio reads the file through os.Open + the scanner
-// source: the pre-mmap ingest path.
+// BenchmarkBatchFileBufio reads the file through os.Open + the buffered
+// block reader: the ingest path of stdin and of platforms without mmap.
 func BenchmarkBatchFileBufio(b *testing.B) {
 	benchFile(b, func(path string) (Source, func() error, error) {
 		f, err := os.Open(path)
@@ -122,7 +125,7 @@ func BenchmarkBatchFileBufio(b *testing.B) {
 }
 
 // BenchmarkBatchFileMmap reads the same file through OpenFileSource — the
-// mmap source plus the pipelined decode stage when the platform allows.
+// mmap source when the platform allows.
 func BenchmarkBatchFileMmap(b *testing.B) {
 	benchFile(b, func(path string) (Source, func() error, error) {
 		return OpenFileSource(path, "ndjson")

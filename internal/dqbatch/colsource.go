@@ -1,69 +1,20 @@
 package dqbatch
 
 import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
 	"io"
 
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 )
 
-// BatchSource is a Source that can also deliver records in columnar form:
-// NextBatch decodes up to max records directly into dst (which the engine
-// Resets beforehand), classifying every cell once instead of building one
-// map per record. Malformed records are reported through bad (with their
-// 1-based input line) and skipped, mirroring the row path's *RecordError
-// handling. NextBatch returns the number of rows decoded; io.EOF (possibly
-// alongside a final partial count) ends the stream, and any other error
-// aborts the batch. The engine prefers this interface whenever both the
-// source and the validator support columnar evaluation.
+// BatchSource is a Source that cannot be cut into independent spans, so
+// the engine's reader goroutine decodes it inline: NextBatch decodes up to
+// max records directly into dst (which the engine Resets beforehand),
+// classifying every cell once. Malformed records are reported through bad
+// (with their 1-based input line) and skipped. NextBatch returns the
+// number of rows decoded; io.EOF (possibly alongside a final partial
+// count) ends the stream, and any other error aborts the batch.
 type BatchSource interface {
-	Source
 	NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error)
-}
-
-// NextBatch decodes up to max NDJSON records into dst. A line that fails
-// JSON decoding, or carries a non-scalar field value, is reported through
-// bad and contributes no row (partially appended cells are rolled back).
-func (s *NDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	n := 0
-	for n < max && s.sc.Scan() {
-		s.line++
-		raw := s.sc.Bytes()
-		s.offset += int64(len(raw)) + 1
-		if len(trimSpaceBytes(raw)) == 0 {
-			continue
-		}
-		var obj map[string]any
-		if err := json.Unmarshal(raw, &obj); err != nil {
-			bad(s.line, err)
-			continue
-		}
-		ok := true
-		for k, v := range obj {
-			str, err := scalarString(v)
-			if err != nil {
-				bad(s.line, fmt.Errorf("field %q: %w", k, err))
-				dst.AbortRow()
-				ok = false
-				break
-			}
-			dst.SetField(k, str)
-		}
-		if !ok {
-			continue
-		}
-		dst.EndRow()
-		n++
-	}
-	if n > 0 {
-		return n, nil
-	}
-	if err := s.sc.Err(); err != nil {
-		return 0, fmt.Errorf("dqbatch: reading line %d: %w", s.line+1, err)
-	}
-	return 0, io.EOF
 }
 
 // NextBatch decodes up to max CSV data rows into dst. Rows with the wrong
@@ -72,31 +23,20 @@ func (s *NDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(l
 func (s *CSVSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
 	n := 0
 	for n < max {
-		row, err := s.r.Read()
+		row, err := s.nextRow()
+		if re, ok := err.(*RecordError); ok {
+			bad(re.Line, re.Err)
+			continue
+		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			if pe, ok := err.(*csv.ParseError); ok {
-				bad(int64(pe.StartLine), err)
-				continue
-			}
-			return n, fmt.Errorf("dqbatch: reading CSV after line %d: %w", s.line, err)
-		}
-		line, _ := s.r.FieldPos(0)
-		s.line = int64(line)
-		if s.header == nil {
-			s.header = append([]string(nil), row...)
-			s.dupHeader = hasDuplicates(s.header)
-			continue
-		}
-		if len(row) != len(s.header) {
-			bad(s.line, fmt.Errorf("row has %d fields, header has %d", len(row), len(s.header)))
-			continue
+			return n, err
 		}
 		if s.dupHeader {
-			// Duplicate header names: the row path's map semantics keep the
-			// last value per name, so round-trip through a scratch map.
+			// Duplicate header names: Next's map semantics keep the last
+			// value per name, so round-trip through a scratch map.
 			if s.scratch == nil {
 				s.scratch = make(dqruntime.Record, len(s.header))
 			}
@@ -121,32 +61,18 @@ func (s *CSVSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line
 	return 0, io.EOF
 }
 
-func hasDuplicates(names []string) bool {
-	seen := make(map[string]struct{}, len(names))
-	for _, n := range names {
-		if _, ok := seen[n]; ok {
-			return true
-		}
-		seen[n] = struct{}{}
-	}
-	return false
-}
-
 // ColumnSource serves an in-memory record set that was columnarized (and
 // its OCL values boxed) once, up front. NextBatch hands out zero-copy
-// chunk views, so a benchmark or repeated run pays decoding exactly once —
-// the columnar analogue of SliceSource. Next still serves the original
-// records for the row path.
+// chunk views, so a benchmark or repeated run pays decoding exactly once.
 type ColumnSource struct {
-	recs  []dqruntime.Record
 	batch dqruntime.ColumnBatch
 	next  int
 }
 
-// NewColumnSource columnarizes records eagerly; the slice is read, not
-// copied, and must not be mutated while any batch built on it runs.
+// NewColumnSource columnarizes records eagerly; the records are read once
+// and may be reused afterwards.
 func NewColumnSource(records []dqruntime.Record) *ColumnSource {
-	s := &ColumnSource{recs: records}
+	s := &ColumnSource{}
 	s.batch.Columnarize(records)
 	s.batch.WarmOCLValues()
 	return s
@@ -155,16 +81,6 @@ func NewColumnSource(records []dqruntime.Record) *ColumnSource {
 // Rewind restarts the stream from the first record, keeping the columnar
 // form, so one source can feed repeated runs.
 func (s *ColumnSource) Rewind() { s.next = 0 }
-
-// Next returns the next record as-is (row-path fallback).
-func (s *ColumnSource) Next(dqruntime.Record) (dqruntime.Record, error) {
-	if s.next >= len(s.recs) {
-		return nil, io.EOF
-	}
-	r := s.recs[s.next]
-	s.next++
-	return r, nil
-}
 
 // NextBatch slices the next chunk view out of the pre-built batch.
 func (s *ColumnSource) NextBatch(dst *dqruntime.ColumnBatch, max int, _ func(line int64, err error)) (int, error) {

@@ -1,15 +1,13 @@
 // Golden parity for cross-record checks: the same input must produce
-// byte-identical reports — JSON and text — at Workers:1 and Workers:8, on
-// the row path and the vectorized path, duplicates, dangling keys and
-// freshness findings included. The fixtures keep per-record failures under
+// byte-identical reports — JSON and text — from the engine at Workers:1
+// and Workers:8 and from the sequential per-record reference, duplicates,
+// dangling keys and freshness findings included. The fixtures keep per-record failures under
 // the exemplar cap so the whole report (not just the cross-record block)
 // compares byte-for-byte across worker counts.
 package dqbatch
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -80,31 +78,35 @@ func crossChecks(t *testing.T, maxExact int) []dqruntime.StatefulCheck {
 	}
 }
 
-// runCross executes one configuration and normalizes everything that may
-// legitimately differ between configurations (timing, worker count, path).
-func runCross(t *testing.T, doc string, checks []dqruntime.StatefulCheck, workers int, forceRows bool) *Result {
+// runCross runs the engine at Workers 1 and 8 and asserts both reports
+// equal the reference's, returning the reference result.
+func runCross(t *testing.T, doc string, checks []dqruntime.StatefulCheck) *Result {
 	t.Helper()
 	v := dqruntime.NewValidator("cross", dqruntime.CompletenessCheck{Required: []string{"a"}})
-	res, err := Run(context.Background(), v, NewNDJSONSource(strings.NewReader(doc)), Options{
-		Workers: workers, ChunkSize: 32, ForceRows: forceRows,
-		Registry: obs.NewRegistry(), CrossRecord: checks,
-	})
+	base, err := referenceRun(v, NewNDJSONSource(strings.NewReader(doc)), Options{CrossRecord: checks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalize(res)
-	res.Workers = 0
-	return res
+	base.Workers = 0
+	for _, workers := range []int{1, 8} {
+		res, err := Run(context.Background(), v, NewNDJSONSource(strings.NewReader(doc)), Options{
+			Workers: workers, ChunkSize: 32, Registry: obs.NewRegistry(), CrossRecord: checks,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		normalize(res)
+		res.Workers = 0
+		assertIdenticalReports(t, base, res)
+	}
+	return base
 }
 
 // TestCrossRecordGoldenParity is the acceptance criterion: uniqueness +
 // two-pass referential + timeliness report byte-identically across
-// Workers:1 vs Workers:8 and row vs vectorized path.
+// Workers:1, Workers:8 and the per-record reference.
 func TestCrossRecordGoldenParity(t *testing.T) {
-	doc := crossNDJSON()
-	checks := crossChecks(t, 0)
-
-	base := runCross(t, doc, checks, 1, true)
+	base := runCross(t, crossNDJSON(), crossChecks(t, 0))
 	if len(base.CrossRecords) != 3 {
 		t.Fatalf("cross findings = %d, want 3", len(base.CrossRecords))
 	}
@@ -119,64 +121,14 @@ func TestCrossRecordGoldenParity(t *testing.T) {
 			t.Fatalf("%s has no details: %+v", f.Check, f)
 		}
 	}
-
-	baseJSON, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var baseText bytes.Buffer
-	base.WriteText(&baseText)
-
-	for _, workers := range []int{1, 8} {
-		for _, forceRows := range []bool{true, false} {
-			if workers == 1 && forceRows {
-				continue // the baseline itself
-			}
-			res := runCross(t, doc, checks, workers, forceRows)
-			gotJSON, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(baseJSON, gotJSON) {
-				t.Fatalf("workers=%d forceRows=%v JSON diverged from baseline:\nbase:\n%s\ngot:\n%s",
-					workers, forceRows, baseJSON, gotJSON)
-			}
-			var gotText bytes.Buffer
-			res.WriteText(&gotText)
-			if !bytes.Equal(baseText.Bytes(), gotText.Bytes()) {
-				t.Fatalf("workers=%d forceRows=%v text diverged:\nbase:\n%s\ngot:\n%s",
-					workers, forceRows, baseText.String(), gotText.String())
-			}
-		}
-	}
 }
 
-// TestCrossRecordBloomParity repeats the 4-way byte identity with the
+// TestCrossRecordBloomParity repeats the byte identity with the
 // uniqueness check forced into approximate mode.
 func TestCrossRecordBloomParity(t *testing.T) {
-	doc := crossNDJSON()
-	checks := crossChecks(t, 16)
-
-	base := runCross(t, doc, checks, 1, true)
+	base := runCross(t, crossNDJSON(), crossChecks(t, 16))
 	if !base.CrossRecords[0].Approximate {
 		t.Fatalf("uniqueness stayed exact at MaxExact=16: %+v", base.CrossRecords[0])
-	}
-	baseJSON, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		for _, forceRows := range []bool{true, false} {
-			res := runCross(t, doc, checks, workers, forceRows)
-			gotJSON, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(baseJSON, gotJSON) {
-				t.Fatalf("workers=%d forceRows=%v Bloom report diverged:\nbase:\n%s\ngot:\n%s",
-					workers, forceRows, baseJSON, gotJSON)
-			}
-		}
 	}
 }
 
@@ -219,7 +171,7 @@ func TestCrossFindingsAttributeQuality(t *testing.T) {
 
 // TestCSVDecodeErrorFileLines pins the line-number fix: quoted multi-line
 // fields advance file lines without advancing record counts, and decode
-// errors must point at true file lines on both paths.
+// errors must point at true file lines in the engine and the reference.
 func TestCSVDecodeErrorFileLines(t *testing.T) {
 	doc := "a,b\n" + // line 1: header
 		"\"x\ny\",2\n" + // lines 2-3: one record with an embedded newline
@@ -229,21 +181,25 @@ func TestCSVDecodeErrorFileLines(t *testing.T) {
 		"\"z\nw\",9\n" + // lines 7-8: ok
 		"ab\"cd,x\n" // line 9: bare-quote parse error
 	v := dqruntime.NewValidator("csv", dqruntime.CompletenessCheck{Required: []string{"a"}})
-	for _, forceRows := range []bool{true, false} {
-		res, err := Run(context.Background(), v, NewCSVSource(strings.NewReader(doc)),
-			Options{Workers: 1, ForceRows: forceRows, Registry: obs.NewRegistry()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Records != 3 || res.Malformed != 3 {
-			t.Fatalf("forceRows=%v: records=%d malformed=%d, want 3/3", forceRows, res.Records, res.Malformed)
+	ref, err := referenceRun(v, NewCSVSource(strings.NewReader(doc)), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), v, NewCSVSource(strings.NewReader(doc)),
+		Options{Workers: 1, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Result{"reference": ref, "engine": res} {
+		if r.Records != 3 || r.Malformed != 3 {
+			t.Fatalf("%s: records=%d malformed=%d, want 3/3", name, r.Records, r.Malformed)
 		}
 		var lines []int64
-		for _, de := range res.DecodeErrors {
+		for _, de := range r.DecodeErrors {
 			lines = append(lines, de.Line)
 		}
 		if len(lines) != 3 || lines[0] != 4 || lines[1] != 6 || lines[2] != 9 {
-			t.Fatalf("forceRows=%v: decode error lines = %v, want [4 6 9]", forceRows, lines)
+			t.Fatalf("%s: decode error lines = %v, want [4 6 9]", name, lines)
 		}
 	}
 }

@@ -13,53 +13,18 @@ import (
 	"github.com/modeldriven/dqwebre/internal/obs"
 )
 
-// Validating is the per-record validation dependency: anything with the
-// allocation-cheap ValidateInto path. *dqruntime.Validator implements it;
-// an Enforcer's Validator() is the usual way to obtain one. The engine
-// calls it concurrently from every worker, so implementations must be
-// safe for concurrent reads (the stock checks are value types).
-type Validating interface {
-	ValidateInto(r dqruntime.Record, rep *dqruntime.Report)
-}
-
-// BatchValidating is the columnar validation dependency: one call scores a
-// whole ColumnBatch. *dqruntime.Validator implements it. When both the
-// source (BatchSource) and the validator support it, Run takes the
-// vectorized path unless Options.ForceRows says otherwise; the verdicts
-// are identical to the row path either way.
-type BatchValidating interface {
-	ValidateBatch(b *dqruntime.ColumnBatch, rep *dqruntime.BatchReport)
-}
-
 // Options tunes a batch run. The zero value is ready to use.
 type Options struct {
-	// Workers is the validation goroutine count; 0 means GOMAXPROCS.
+	// Workers is the validation goroutine count; 0 means GOMAXPROCS. The
+	// decode pool runs half as many goroutines, rounded up.
 	Workers int
-	// ChunkSize is how many records travel per work item; chunking
-	// amortizes channel handoff to nothing per record. 0 means 256.
+	// ChunkSize is how many input lines (NDJSON) or records (CSV, column
+	// sources) travel per work item; chunking amortizes channel handoff to
+	// nothing per record. 0 means 256.
 	ChunkSize int
 	// MaxExemplars caps retained failures per characteristic; 0 means 3,
 	// negative means none.
 	MaxExemplars int
-	// SampleEvery is the per-record latency sampling stride (every n-th
-	// record per worker is timed); 0 means 64, negative disables sampling.
-	// On the vectorized path one amortized sample is taken per chunk
-	// instead (batch duration / rows); negative disables that too.
-	SampleEvery int
-	// ForceRows disables the vectorized path even when the source and
-	// validator both support it — the escape hatch for differential
-	// debugging, and how the parity tests drive both paths.
-	ForceRows bool
-	// DecodeWorkers caps the decode stage on the pipelined path (SpanSource
-	// inputs, e.g. memory-mapped NDJSON): one scanner cuts raw spans, this
-	// many goroutines decode them into column batches, and the eval workers
-	// score the results — parsing overlaps evaluation. 0 or negative means
-	// half the eval workers, rounded up.
-	DecodeWorkers int
-	// ForceSequential disables the pipelined decode stage even when the
-	// source supports spans, keeping the single reader-decodes shape — the
-	// pipelined counterpart of ForceRows, for differential testing.
-	ForceSequential bool
 	// MaxDecodeErrors caps the decode errors retained (with line numbers)
 	// in Result.DecodeErrors; 0 means 10, negative means none. Malformed
 	// counts every skipped record regardless of the cap.
@@ -83,6 +48,28 @@ type Options struct {
 	// same shard-then-reduce shape as the per-characteristic statistics —
 	// and appends one CrossFinding per check to Result.CrossRecords.
 	CrossRecord []dqruntime.StatefulCheck
+}
+
+// limits resolves the zero-value defaults of the sizing options.
+func (o Options) limits() (workers, chunkSize, maxExemplars, maxDecode int) {
+	workers, chunkSize, maxExemplars, maxDecode = o.Workers, o.ChunkSize, o.MaxExemplars, o.MaxDecodeErrors
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if chunkSize <= 0 {
+		chunkSize = defaultChunkSize
+	}
+	if maxExemplars == 0 {
+		maxExemplars = 3
+	} else if maxExemplars < 0 {
+		maxExemplars = 0
+	}
+	if maxDecode == 0 {
+		maxDecode = 10
+	} else if maxDecode < 0 {
+		maxDecode = 0
+	}
+	return workers, chunkSize, maxExemplars, maxDecode
 }
 
 // DecodeError is one retained malformed-input diagnostic.
@@ -115,8 +102,8 @@ type Result struct {
 	Seconds       float64 `json:"seconds"`
 	RecordsPerSec float64 `json:"records_per_sec"`
 	// LatencyP50/LatencyP99 are per-record validation latency percentiles
-	// in seconds, from a bounded stride-sampled reservoir; 0 when
-	// sampling was disabled or no record was validated.
+	// in seconds, from a bounded reservoir of per-chunk samples (chunk
+	// validation time over its rows); 0 when no record was validated.
 	LatencyP50 float64 `json:"latency_p50_seconds"`
 	LatencyP99 float64 `json:"latency_p99_seconds"`
 	// Characteristics is the per-characteristic roll-up.
@@ -126,76 +113,49 @@ type Result struct {
 	CrossRecords []dqruntime.CrossFinding `json:"cross_records,omitempty"`
 	// Duration is Seconds as a time.Duration, for callers doing math.
 	Duration time.Duration `json:"-"`
-	// Vectorized reports whether the columnar path ran. Excluded from the
-	// serialized forms so both paths produce identical reports.
-	Vectorized bool `json:"-"`
-	// Pipelined reports whether the decode stage ran as its own worker pool
-	// (SpanSource input). Excluded from the serialized forms for the same
-	// reason as Vectorized.
-	Pipelined bool `json:"-"`
 }
 
-// chunk is one unit of work on the row path: a recycled block of records.
-// Only the first n entries of recs are valid; base is the 1-based ordinal
-// of the first one. scratch holds the recycled maps offered to the source —
-// a streaming decoder fills and returns them (recs[i] == scratch[i]), an
-// in-memory source returns its own records and the scratch maps idle.
+// chunk is one unit of work: a recycled columnar batch of up to ChunkSize
+// rows travelling reader → decode pool → sequencer → eval worker. idx is
+// its position in the input, from which the sequencer restores order;
+// span holds the raw lines a SpanSource's chunk still has to decode; end
+// is the source byte offset after the chunk; bads buffers malformed-line
+// diagnostics until the sequencer replays them in line order; base is the
+// ordinal of the first row, assigned by the sequencer.
 type chunk struct {
-	base    int64
-	n       int
-	recs    []dqruntime.Record
-	scratch []dqruntime.Record
+	idx, base, end int64
+	n              int
+	span           Span
+	batch          *dqruntime.ColumnBatch
+	bads           []lineErr
 }
 
-// colChunk is one unit of work on the vectorized path: a recycled
-// columnar batch of up to ChunkSize rows. On the pipelined path idx is the
-// chunk's span sequence number (the sequencer restores input order from
-// it) and bads buffers the span's malformed-line diagnostics until the
-// sequencer replays them in line order.
-type colChunk struct {
-	base  int64
-	n     int
-	batch *dqruntime.ColumnBatch
-	idx   int64
-	bads  []lineErr
-}
-
-// lineErr is one malformed line captured during concurrent span decoding,
-// held until the sequencer replays it single-threaded.
+// lineErr is one malformed line captured while decoding, held until the
+// sequencer replays it single-threaded.
 type lineErr struct {
 	line int64
 	err  error
 }
 
-// chunkPool and colChunkPool recycle chunks (and the record maps / column
-// buffers inside them) across Runs, so repeated batches — benchmark
-// iterations, a server validating dataset after dataset — stop paying the
-// pool-priming allocations every time.
-var (
-	chunkPool    sync.Pool
-	colChunkPool sync.Pool
-)
+func (c *chunk) bad(line int64, err error) { c.bads = append(c.bads, lineErr{line: line, err: err}) }
 
-func getChunk(chunkSize int) *chunk {
+// chunkPool recycles chunks (and the column buffers inside them) across
+// Runs, so repeated batches — benchmark iterations, a server validating
+// dataset after dataset — stop paying the pool-priming allocations every
+// time.
+var chunkPool sync.Pool
+
+func getChunk() *chunk {
 	c, _ := chunkPool.Get().(*chunk)
-	if c == nil || cap(c.recs) < chunkSize {
-		return &chunk{
-			recs:    make([]dqruntime.Record, chunkSize),
-			scratch: make([]dqruntime.Record, chunkSize),
-		}
+	if c == nil {
+		return &chunk{batch: &dqruntime.ColumnBatch{}}
 	}
-	c.recs = c.recs[:chunkSize]
-	c.scratch = c.scratch[:chunkSize]
 	return c
 }
 
-func getColChunk() *colChunk {
-	c, _ := colChunkPool.Get().(*colChunk)
-	if c == nil {
-		return &colChunk{batch: &dqruntime.ColumnBatch{}}
-	}
-	return c
-}
+// defaultChunkSize is the records (or input lines) per chunk when
+// Options.ChunkSize is 0.
+const defaultChunkSize = 256
 
 // sampleCap bounds each worker's latency reservoir.
 const sampleCap = 4096
@@ -206,40 +166,37 @@ var batchBuckets = []float64{
 	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
 }
 
-// Run streams records from src through a worker pool, validating each
-// with v and merging per-characteristic statistics. When src implements
-// BatchSource and v implements BatchValidating (and ForceRows is off),
-// records travel as columnar batches and each worker scores whole columns
-// at once; otherwise every record is validated through the per-record row
-// path. Both paths produce identical results. Run honors ctx: on
-// cancellation the stream stops, workers drain, and the partial Result
-// comes back with ctx's error. Memory is bounded by the pool geometry
-// (roughly 2×workers chunks of ChunkSize records), never by input size.
-func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// Run streams records from src through one goroutine graph, whatever the
+// source:
+//
+//	reader → decode pool → sequencer → eval workers
+//
+// The reader cuts raw line spans off a SpanSource, or decodes a
+// BatchSource's chunks inline; the decode pool parses spans into column
+// batches concurrently (and passes inline-decoded chunks through); the
+// sequencer restores input order, assigns record ordinals, replays
+// malformed-line diagnostics and publishes progress; each eval worker
+// scores whole columns per chunk with v and folds the verdicts into its
+// own shard. One free list bounds memory: at most 2×workers+2 plus
+// 2×decoders chunks of ChunkSize records exist, never more with input
+// size. Reports are byte-identical across worker counts because ordinals,
+// decode-error order and the exact score sums do not depend on
+// scheduling.
+//
+// Run honors ctx: on cancellation the reader stops, eval workers finish
+// the chunks already handed to them, and the partial Result comes back
+// with ctx's error. Run returns only after every goroutine it started has
+// exited, so the caller may release the source's memory (unmap a file)
+// as soon as it returns.
+func Run(ctx context.Context, v *dqruntime.Validator, src Source, opts Options) (*Result, error) {
+	workers, chunkSize, maxExemplars, maxDecode := opts.limits()
+	src, prog := unwrapProgress(src)
+	ssrc, _ := src.(SpanSource)
+	bsrc, _ := src.(BatchSource)
+	if ssrc == nil && bsrc == nil {
+		return nil, notSource(src)
 	}
-	chunkSize := opts.ChunkSize
-	if chunkSize <= 0 {
-		chunkSize = 256
-	}
-	maxExemplars := opts.MaxExemplars
-	if maxExemplars == 0 {
-		maxExemplars = 3
-	} else if maxExemplars < 0 {
-		maxExemplars = 0
-	}
-	stride := opts.SampleEvery
-	if stride == 0 {
-		stride = 64
-	}
-	maxDecode := opts.MaxDecodeErrors
-	if maxDecode == 0 {
-		maxDecode = 10
-	} else if maxDecode < 0 {
-		maxDecode = 0
-	}
+	off, _ := src.(Offsetter)
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.Default()
@@ -250,346 +207,186 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 	errC := reg.Counter("dqbatch_records_total", recordsHelp, obs.Labels{"outcome": "error"})
 	batchH := reg.Histogram("dqbatch_batch_seconds", "Wall-clock batch validation duration", batchBuckets, nil)
 
-	bsrc, srcOK := src.(BatchSource)
-	bval, valOK := v.(BatchValidating)
-	vectorized := srcOK && valOK && !opts.ForceRows
-
 	_, span := obs.StartSpan(ctx, "dqbatch.run")
 	start := time.Now()
-
-	var malformed int64
-	var decodeErrs []DecodeError
-	var readErr error
-	// onBad runs on exactly one goroutine — the reader, or on the pipelined
-	// path the sequencer (which replays buffered diagnostics in line order);
-	// <-readerDone below is the happens-before edge that publishes its
-	// writes to the epilogue.
-	onBad := func(line int64, err error) {
-		malformed++
-		errC.Inc()
-		if len(decodeErrs) < maxDecode {
-			decodeErrs = append(decodeErrs, DecodeError{Line: line, Error: err.Error()})
-		}
-	}
 
 	shards := make([]*shard, workers)
 	for i := range shards {
 		shards[i] = newShard()
 	}
 	// crossStates[c][w] is check c's private state for worker w; workers
-	// write only their own column, and the reduce below folds each row
-	// single-threaded, so cross-record checks ride the existing
-	// shard-then-merge discipline without new synchronization.
+	// write only their own column, and the reduce folds each row
+	// single-threaded, so cross-record checks ride the shard-then-merge
+	// discipline without new synchronization.
 	crossStates := make([][]dqruntime.CheckState, len(opts.CrossRecord))
 	for i, sc := range opts.CrossRecord {
 		crossStates[i] = sc.NewStates(workers, maxExemplars)
 	}
-	readerDone := make(chan struct{})
-	var wg sync.WaitGroup
 
-	ssrc, spanOK := src.(SpanSource)
-	pipelined := vectorized && spanOK && !opts.ForceSequential
-	decodeWorkers := opts.DecodeWorkers
-	if decodeWorkers <= 0 {
-		decodeWorkers = (workers + 1) / 2
+	decoders := (workers + 1) / 2
+	// Every chunk in flight came from free and goes back to it, so sends to
+	// free never block.
+	free := make(chan *chunk, 2*workers+2+2*decoders)
+	for i := 0; i < cap(free); i++ {
+		free <- getChunk()
 	}
+	// Each stage may run one chunk per goroutine of the next stage ahead;
+	// decoded also absorbs out-of-order chunks while the sequencer waits
+	// for the next one in line.
+	spans := make(chan *chunk, decoders)
+	decoded := make(chan *chunk, decoders+workers)
+	work := make(chan *chunk, workers)
+	// stages tracks every goroutine below; its Wait is the happens-before
+	// edge for readErr (the reader's) and the onBad state (the
+	// sequencer's).
+	var stages sync.WaitGroup
+	var readErr error
+	var malformed int64
+	var decodeErrs []DecodeError
 
-	if vectorized {
-		// The free list is the memory bound: every batch in flight came
-		// from here, so at most cap(free) column batches exist (the
-		// pipelined path holds extras in its decode stage).
-		freeCap := 2*workers + 2
-		if pipelined {
-			freeCap += 2 * decodeWorkers
-		}
-		free := make(chan *colChunk, freeCap)
-		for i := 0; i < cap(free); i++ {
-			free <- getColChunk()
-		}
-		work := make(chan *colChunk, workers)
-		var scanDone chan struct{}
-
-		if pipelined {
-			// Three stages: a scanner cuts raw spans off the source (pure
-			// newline arithmetic), decode workers parse spans into column
-			// batches concurrently, and a sequencer restores span order —
-			// assigning record ordinals and replaying malformed-line
-			// diagnostics exactly as the single-reader path would — before
-			// handing chunks to the eval workers. Reports stay byte-identical
-			// because ordinals, decode-error order and per-worker chunk order
-			// (ascending base) all match the sequential reader.
-			scanDone = make(chan struct{})
-			type spanItem struct {
-				idx int64
-				sp  Span
+	stages.Add(1)
+	go func() { // reader
+		defer stages.Done()
+		defer close(spans)
+		var idx int64
+		for {
+			var c *chunk
+			select {
+			case c = <-free:
+			case <-ctx.Done():
+				return
 			}
-			spans := make(chan spanItem, decodeWorkers)
-			seqCh := make(chan *colChunk, decodeWorkers+workers)
-
-			go func() { // scanner: owns readErr, published via scanDone
-				defer close(scanDone)
-				defer close(spans)
-				var idx int64
-				for {
-					sp, err := ssrc.NextSpan(chunkSize)
-					if err != nil {
-						if err != io.EOF {
-							readErr = err
-						}
-						return
-					}
-					select {
-					case spans <- spanItem{idx: idx, sp: sp}:
-					case <-ctx.Done():
-						return
-					}
-					idx++
-				}
-			}()
-
-			var decWg sync.WaitGroup
-			for i := 0; i < decodeWorkers; i++ {
-				decWg.Add(1)
-				go func() {
-					defer decWg.Done()
-					for it := range spans {
-						var c *colChunk
-						select {
-						case c = <-free:
-						case <-ctx.Done():
-							return
-						}
-						c.batch.Reset()
-						c.idx = it.idx
-						c.bads = c.bads[:0]
-						c.n = ssrc.DecodeSpan(it.sp, c.batch, func(line int64, err error) {
-							c.bads = append(c.bads, lineErr{line: line, err: err})
-						})
-						select {
-						case seqCh <- c:
-						case <-ctx.Done():
-							return
-						}
-					}
-				}()
+			c.batch.Reset()
+			c.bads = c.bads[:0]
+			c.n, c.span = 0, Span{}
+			var err error
+			if ssrc != nil {
+				c.span, err = ssrc.NextSpan(chunkSize)
+			} else {
+				c.n, err = bsrc.NextBatch(c.batch, chunkSize, c.bad)
 			}
-			go func() {
-				decWg.Wait()
-				close(seqCh)
-			}()
-
-			go func() { // sequencer: owns onBad state, published via readerDone
-				defer close(readerDone)
-				defer close(work)
-				pending := make(map[int64]*colChunk, decodeWorkers+workers)
-				var next, ordinal int64
-				for c := range seqCh {
-					pending[c.idx] = c
-					for {
-						pc, ok := pending[next]
-						if !ok {
-							break
-						}
-						delete(pending, next)
-						next++
-						for _, b := range pc.bads {
-							onBad(b.line, b.err)
-						}
-						pc.bads = pc.bads[:0]
-						if pc.n == 0 {
-							select {
-							case free <- pc:
-							default:
-							}
-							continue
-						}
-						pc.base = ordinal + 1
-						ordinal += int64(pc.n)
-						select {
-						case work <- pc:
-						case <-ctx.Done():
-							return
-						}
-					}
-				}
-			}()
-		} else {
-			go func() {
-				defer close(readerDone)
-				defer close(work)
-				var ordinal int64
-				for {
-					var c *colChunk
-					select {
-					case c = <-free:
-					case <-ctx.Done():
-						return
-					}
-					c.batch.Reset()
-					n, err := bsrc.NextBatch(c.batch, chunkSize, onBad)
-					c.base = ordinal + 1
-					c.n = n
-					ordinal += int64(n)
-					if n > 0 {
-						select {
-						case work <- c:
-						case <-ctx.Done():
-							return
-						}
-					}
-					if err != nil {
-						if err != io.EOF {
-							readErr = err
-						}
-						return
-					}
-				}
-			}()
-		}
-
-		for i := 0; i < workers; i++ {
-			sh := shards[i]
-			wi := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rep := &dqruntime.BatchReport{}
-				for c := range work {
-					if ctx.Err() != nil {
-						return
-					}
-					if stride > 0 {
-						t0 := time.Now()
-						bval.ValidateBatch(c.batch, rep)
-						sh.sample(time.Since(t0).Seconds()/float64(c.n), sampleCap)
-					} else {
-						bval.ValidateBatch(c.batch, rep)
-					}
-					for _, states := range crossStates {
-						states[wi].ObserveBatch(c.base, c.batch)
-					}
-					pass, fail := sh.observeBatch(c.base, rep, maxExemplars)
-					passC.Add(pass)
-					failC.Add(fail)
-					select {
-					case free <- c:
-					default: // reader gone; chunk retires
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		<-readerDone
-		if scanDone != nil {
-			// Pipelined: readErr is the scanner's; wait for its publication
-			// edge too (the sequencer can finish first on cancellation).
-			<-scanDone
-		}
-		drainColChunks(free)
-	} else {
-		free := make(chan *chunk, 2*workers+2)
-		for i := 0; i < cap(free); i++ {
-			free <- getChunk(chunkSize)
-		}
-		work := make(chan *chunk, workers)
-
-		go func() {
-			defer close(readerDone)
-			defer close(work)
-			var ordinal int64
-		read:
-			for {
-				var c *chunk
+			if off != nil {
+				c.end = off.ByteOffset()
+			}
+			if c.n > 0 || len(c.span.Data) > 0 || len(c.bads) > 0 {
+				c.idx = idx
+				idx++
 				select {
-				case c = <-free:
+				case spans <- c:
 				case <-ctx.Done():
 					return
 				}
-				c.base = ordinal + 1
-				c.n = 0
-				for c.n < chunkSize {
-					rec := c.scratch[c.n]
-					if rec == nil {
-						rec = make(dqruntime.Record, 8)
-						c.scratch[c.n] = rec
-					}
-					got, err := src.Next(rec)
-					if err == nil {
-						c.recs[c.n] = got
-						ordinal++
-						c.n++
-						continue
-					}
-					if re, ok := err.(*RecordError); ok {
-						onBad(re.Line, re.Err)
-						continue
-					}
-					if err != io.EOF {
-						readErr = err
-					}
-					if c.n > 0 {
-						select {
-						case work <- c:
-						case <-ctx.Done():
-						}
-					}
-					break read
+			} else {
+				free <- c
+			}
+			if err != nil {
+				if err != io.EOF {
+					readErr = err
+				}
+				return
+			}
+		}
+	}()
+
+	var decWg sync.WaitGroup
+	for i := 0; i < decoders; i++ {
+		decWg.Add(1)
+		go func() {
+			defer decWg.Done()
+			for c := range spans {
+				if len(c.span.Data) > 0 {
+					c.n = ssrc.DecodeSpan(c.span, c.batch, c.bad)
+					c.span = Span{}
 				}
 				select {
-				case work <- c:
+				case decoded <- c:
 				case <-ctx.Done():
 					return
 				}
 			}
 		}()
+	}
+	stages.Add(1)
+	go func() {
+		defer stages.Done()
+		decWg.Wait()
+		close(decoded)
+	}()
 
-		for i := 0; i < workers; i++ {
-			sh := shards[i]
-			wi := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rep := &dqruntime.Report{}
-				var seen int64
-				for c := range work {
-					if ctx.Err() != nil {
-						return
-					}
-					var pass, fail uint64
-					for j := 0; j < c.n; j++ {
-						rec := c.recs[j]
-						if stride > 0 && seen%int64(stride) == 0 {
-							t0 := time.Now()
-							v.ValidateInto(rec, rep)
-							sh.sample(time.Since(t0).Seconds(), sampleCap)
-						} else {
-							v.ValidateInto(rec, rep)
-						}
-						seen++
-						for _, states := range crossStates {
-							states[wi].Observe(c.base+int64(j), rec)
-						}
-						if sh.observe(c.base+int64(j), rep, maxExemplars) {
-							pass++
-						} else {
-							fail++
-						}
-					}
-					passC.Add(pass)
-					failC.Add(fail)
-					select {
-					case free <- c:
-					default: // reader gone; chunk retires
+	stages.Add(1)
+	go func() { // sequencer
+		defer stages.Done()
+		defer close(work)
+		pending := make(map[int64]*chunk, decoders+workers)
+		var next, ordinal int64
+		for c := range decoded {
+			pending[c.idx] = c
+			for {
+				c, ok := pending[next]
+				if !ok {
+					break
+				}
+				delete(pending, next)
+				next++
+				for _, b := range c.bads {
+					malformed++
+					errC.Inc()
+					if len(decodeErrs) < maxDecode {
+						decodeErrs = append(decodeErrs, DecodeError{Line: b.line, Error: b.err.Error()})
 					}
 				}
-			}()
+				// Read the chunk before handing it off: a worker recycles it.
+				n, end := c.n, c.end
+				if n > 0 {
+					c.base = ordinal + 1
+					select {
+					case work <- c:
+					case <-ctx.Done():
+						return
+					}
+					ordinal += int64(n)
+				} else {
+					free <- c
+				}
+				// Progress counts exactly the records handed to a worker,
+				// which finishes every chunk it receives.
+				if prog != nil {
+					prog.records.Add(int64(n))
+					if off != nil {
+						prog.bytes.Store(end)
+					}
+				}
+			}
 		}
-		wg.Wait()
-		// The reader exits on EOF, source error, or ctx cancellation (every
-		// blocking point selects ctx.Done); waiting for it establishes the
-		// happens-before edge for malformed, decodeErrs and readErr.
-		<-readerDone
-		drainChunks(free)
+	}()
+
+	for i := 0; i < workers; i++ {
+		sh := shards[i]
+		wi := i
+		stages.Add(1)
+		go func() {
+			defer stages.Done()
+			rep := &dqruntime.BatchReport{}
+			for c := range work {
+				t0 := time.Now()
+				v.ValidateBatch(c.batch, rep)
+				// One amortized latency sample per chunk.
+				sh.sample(time.Since(t0).Seconds()/float64(c.n), sampleCap)
+				for _, states := range crossStates {
+					states[wi].ObserveBatch(c.base, c.batch)
+				}
+				pass, fail := sh.observeBatch(c.base, rep, maxExemplars)
+				passC.Add(pass)
+				failC.Add(fail)
+				free <- c
+			}
+		}()
+	}
+	stages.Wait()
+	// Idle chunks go back to the cross-run pool; chunks stranded in the
+	// graph by a cancellation simply retire.
+	for len(free) > 0 {
+		chunkPool.Put(<-free)
 	}
 
 	dur := time.Since(start)
@@ -601,33 +398,14 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 		Workers:      workers,
 		Seconds:      dur.Seconds(),
 		Duration:     dur,
-		Vectorized:   vectorized,
-		Pipelined:    pipelined,
 	}
-	var samples []float64
-	res.Characteristics, samples = mergeShards(shards, maxExemplars)
-	for _, sh := range shards {
-		res.Records += sh.records
-		res.Passed += sh.passed
-		res.Failed += sh.failed
-	}
+	samples := res.tally(shards, crossStates, maxExemplars)
 	if res.Seconds > 0 {
 		res.RecordsPerSec = float64(res.Records) / res.Seconds
 	}
 	sort.Float64s(samples)
 	res.LatencyP50 = percentile(samples, 50)
 	res.LatencyP99 = percentile(samples, 99)
-
-	// Reduce the cross-record states in worker-index order. Each state's
-	// Merge is order-independent in effect, so any worker count and any
-	// chunk assignment produce the same findings.
-	for _, states := range crossStates {
-		merged := states[0]
-		for _, o := range states[1:] {
-			merged.Merge(o)
-		}
-		res.CrossRecords = append(res.CrossRecords, merged.Finding())
-	}
 
 	if opts.Quality != nil {
 		ctxLabel := opts.Context
@@ -657,9 +435,6 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 
 	span.SetAttr("records", int(res.Records))
 	span.SetAttr("workers", workers)
-	if vectorized {
-		span.SetAttr("vectorized", 1)
-	}
 	if res.Failed > 0 {
 		span.SetAttr("failed", int(res.Failed))
 	}
@@ -671,28 +446,27 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 	return res, readErr
 }
 
-// drainChunks returns every idle chunk to the cross-run pool. Chunks
-// stranded in the work channel after a cancellation simply retire.
-func drainChunks(free chan *chunk) {
-	for {
-		select {
-		case c := <-free:
-			chunkPool.Put(c)
-		default:
-			return
-		}
+// tally folds the per-worker shards and cross-record states into res —
+// record counts, per-characteristic statistics, findings — and returns the
+// pooled latency samples. Cross-record states reduce in worker-index
+// order; each state's Merge is order-independent in effect, so any worker
+// count and any chunk assignment produce the same findings.
+func (res *Result) tally(shards []*shard, crossStates [][]dqruntime.CheckState, maxExemplars int) []float64 {
+	var samples []float64
+	res.Characteristics, samples = mergeShards(shards, maxExemplars)
+	for _, sh := range shards {
+		res.Records += sh.records
+		res.Passed += sh.passed
+		res.Failed += sh.failed
 	}
-}
-
-func drainColChunks(free chan *colChunk) {
-	for {
-		select {
-		case c := <-free:
-			colChunkPool.Put(c)
-		default:
-			return
+	for _, states := range crossStates {
+		merged := states[0]
+		for _, o := range states[1:] {
+			merged.Merge(o)
 		}
+		res.CrossRecords = append(res.CrossRecords, merged.Finding())
 	}
+	return samples
 }
 
 // percentile returns the p-th percentile of an ascending sample set; 0

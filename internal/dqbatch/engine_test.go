@@ -48,7 +48,7 @@ func badRecord() dqruntime.Record {
 	return r
 }
 
-func TestRunOverSliceSource(t *testing.T) {
+func TestRunOverColumnSource(t *testing.T) {
 	v := buildValidator(t)
 	var recs []dqruntime.Record
 	for i := 0; i < 1000; i++ {
@@ -59,7 +59,7 @@ func TestRunOverSliceSource(t *testing.T) {
 		}
 	}
 	reg := obs.NewRegistry()
-	res, err := Run(context.Background(), v, NewSliceSource(recs), Options{
+	res, err := Run(context.Background(), v, NewColumnSource(recs), Options{
 		Workers: 4, ChunkSize: 32, MaxExemplars: 2, Registry: reg,
 	})
 	if err != nil {
@@ -201,7 +201,7 @@ func TestRunEmptyInput(t *testing.T) {
 func TestResultWriteTextAndJSONShape(t *testing.T) {
 	v := buildValidator(t)
 	res, err := Run(context.Background(), v,
-		NewSliceSource([]dqruntime.Record{goodRecord(), badRecord()}),
+		NewColumnSource([]dqruntime.Record{goodRecord(), badRecord()}),
 		Options{Workers: 1, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)

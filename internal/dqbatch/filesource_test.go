@@ -1,21 +1,19 @@
 // Golden parity for the zero-copy ingest path: the memory-mapped NDJSON
-// source (fast flat-JSON parser, pipelined decode) must produce reports
-// byte-identical to the bufio source on the same bytes — JSON and text, at
-// 1 and 8 workers — and OpenFileSource must route every input shape to the
-// right implementation (regular files to mmap, pipes and empty files to
-// the portable fallback).
+// source and the reader-backed one must cut identical spans and produce
+// reports byte-identical to the sequential reference on the same bytes —
+// JSON and text, at 1 and 8 workers — and OpenFileSource must route every
+// input shape to the right implementation (regular files to mmap, pipes
+// and empty files to the reader-backed fallback).
 package dqbatch
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 	"github.com/modeldriven/dqwebre/internal/obs"
@@ -69,168 +67,100 @@ func trickyNDJSON() string {
 	return b.String()
 }
 
-// runPair runs the same options over two sources and asserts byte-identical
-// reports.
-func runPair(t *testing.T, opts Options, mkA, mkB func() Source) (a, b *Result) {
-	t.Helper()
-	v := parityValidator(t)
-	opts.Registry = obs.NewRegistry()
-	a, err := Run(context.Background(), v, mkA(), opts)
-	if err != nil {
-		t.Fatalf("source A: %v", err)
-	}
-	b, err = Run(context.Background(), v, mkB(), opts)
-	if err != nil {
-		t.Fatalf("source B: %v", err)
-	}
-	normalize(a)
-	normalize(b)
-	assertIdenticalReports(t, a, b)
-	return a, b
-}
-
 func TestMmapBufioGoldenParity(t *testing.T) {
 	doc := trickyNDJSON()
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			opts := Options{Workers: workers, ChunkSize: 64,
-				CrossRecord: []dqruntime.StatefulCheck{
-					UniquenessCheckForTest(),
-				}}
-			bufio, mm := runPair(t, opts,
-				func() Source { return NewNDJSONSource(strings.NewReader(doc)) },
-				func() Source { return NewMmapNDJSONSource([]byte(doc)) })
-			if bufio.Records == 0 || bufio.Malformed == 0 || bufio.Failed == 0 {
-				t.Fatalf("degenerate fixture: %+v", bufio)
+	opts := Options{ChunkSize: 64, CrossRecord: []dqruntime.StatefulCheck{UniquenessCheckForTest()}}
+	for name, mk := range map[string]func() Source{
+		"reader": func() Source { return NewNDJSONSource(strings.NewReader(doc)) },
+		"mmap":   func() Source { return NewMmapNDJSONSource([]byte(doc)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			ref := runParity(t, opts, mk,
+				func() rowSource { return NewNDJSONSource(strings.NewReader(doc)) })
+			if ref.Records == 0 || ref.Malformed == 0 || ref.Failed == 0 {
+				t.Fatalf("degenerate fixture: %+v", ref)
 			}
-			_ = mm
 		})
 	}
 }
 
 // UniquenessCheckForTest keys the parity runs' cross-record state on two
 // fields, so the multi-field scratch-buffer path runs under -race in the
-// pipelined engine.
+// engine.
 func UniquenessCheckForTest() dqruntime.StatefulCheck {
 	return dqruntime.UniquenessCheck{Fields: []string{"a", "b"}}
 }
 
-// TestPipelinedSequentialParity pins the pipelined decode stage against
-// the single-reader columnar path on the same mmap source: span cutting,
-// concurrent decoding and the sequencer's ordinal/diagnostic replay must
-// not change a byte of the report.
-func TestPipelinedSequentialParity(t *testing.T) {
-	doc := trickyNDJSON()
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			v := parityValidator(t)
-			opts := Options{Workers: workers, ChunkSize: 64, Registry: obs.NewRegistry()}
-			opts.ForceSequential = true
-			seq, err := Run(context.Background(), v, NewMmapNDJSONSource([]byte(doc)), opts)
-			if err != nil {
-				t.Fatal(err)
+// TestSpanSourcesAgree pins the two NDJSON span producers to each other:
+// over the same bytes — the reader one fed a byte at a time — they cut
+// identical spans with identical first lines and byte offsets.
+func TestSpanSourcesAgree(t *testing.T) {
+	doc := trickyNDJSON() + `{"a": "unterminated final line"}`
+	for _, maxLines := range []int{1, 7, 64, 1 << 20} {
+		rd := NewNDJSONSource(iotest.OneByteReader(strings.NewReader(doc)))
+		mm := NewMmapNDJSONSource([]byte(doc))
+		for i := 0; ; i++ {
+			a, errA := rd.NextSpan(maxLines)
+			b, errB := mm.NextSpan(maxLines)
+			if errA != errB {
+				t.Fatalf("maxLines=%d span %d: errors diverged: %v vs %v", maxLines, i, errA, errB)
 			}
-			if seq.Pipelined {
-				t.Fatal("ForceSequential ran the pipelined path")
-			}
-			opts.ForceSequential = false
-			opts.DecodeWorkers = 3
-			pipe, err := Run(context.Background(), v, NewMmapNDJSONSource([]byte(doc)), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pipe.Pipelined {
-				t.Fatal("pipelined path did not engage for a SpanSource")
-			}
-			normalize(seq)
-			normalize(pipe)
-			assertIdenticalReports(t, seq, pipe)
-		})
-	}
-}
-
-// TestMmapSourceRowPath drains both sources through Next and compares
-// record-for-record, error-for-error.
-func TestMmapSourceRowPath(t *testing.T) {
-	doc := trickyNDJSON()
-	bufio := NewNDJSONSource(strings.NewReader(doc))
-	mm := NewMmapNDJSONSource([]byte(doc))
-	recA := make(dqruntime.Record, 8)
-	recB := make(dqruntime.Record, 8)
-	for i := 0; ; i++ {
-		a, errA := bufio.Next(recA)
-		b, errB := mm.Next(recB)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("record %d: errors diverged: bufio %v, mmap %v", i, errA, errB)
-		}
-		if errA != nil {
-			var reA, reB *RecordError
-			if errors.As(errA, &reA) != errors.As(errB, &reB) {
-				t.Fatalf("record %d: error kinds diverged: %v vs %v", i, errA, errB)
-			}
-			if reA != nil {
-				if reA.Line != reB.Line || reA.Error() != reB.Error() {
-					t.Fatalf("record %d: record errors diverged: %v vs %v", i, reA, reB)
-				}
-				continue
-			}
-			if errA == io.EOF && errB == io.EOF {
+			if errA == io.EOF {
 				break
 			}
-			t.Fatalf("record %d: terminal errors: %v vs %v", i, errA, errB)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("record %d diverged:\nbufio: %v\nmmap:  %v", i, a, b)
-		}
-		if bufio.ByteOffset() != mm.ByteOffset() {
-			// Offsets agree on LF input; the fixture's CRLF lines are the
-			// documented divergence (the scanner strips CR before counting),
-			// so only require the mmap offset — an exact position — to be at
-			// least the scanner's estimate.
-			if mm.ByteOffset() < bufio.ByteOffset() {
-				t.Fatalf("record %d: mmap offset %d behind scanner estimate %d",
-					i, mm.ByteOffset(), bufio.ByteOffset())
+			if string(a.Data) != string(b.Data) || a.FirstLine != b.FirstLine {
+				t.Fatalf("maxLines=%d span %d diverged:\nreader (line %d): %q\nmmap (line %d): %q",
+					maxLines, i, a.FirstLine, a.Data, b.FirstLine, b.Data)
 			}
+			if rd.ByteOffset() != mm.ByteOffset() {
+				t.Fatalf("maxLines=%d span %d: offsets %d vs %d", maxLines, i, rd.ByteOffset(), mm.ByteOffset())
+			}
+			var batch dqruntime.ColumnBatch
+			rd.DecodeSpan(a, &batch, func(int64, error) {})
+		}
+		if rd.ByteOffset() != int64(len(doc)) {
+			t.Fatalf("maxLines=%d: consumed %d bytes of %d", maxLines, rd.ByteOffset(), len(doc))
 		}
 	}
 }
 
-// TestMmapTooLongLine pins the bounded-memory contract on the zero-copy
-// path: a line over maxLineBytes is a hard error naming the right line,
-// on Next, NextBatch and NextSpan alike.
+// TestMmapTooLongLine pins the bounded-memory contract on both NDJSON
+// sources: a line over maxLineBytes is a hard error naming the right line,
+// raised only after the lines before it are delivered, with the same text
+// from NextSpan on either source and from Next.
 func TestMmapTooLongLine(t *testing.T) {
 	doc := "{\"a\": \"ok\"}\n{\"a\": \"" + strings.Repeat("x", maxLineBytes) + "\"}\n"
-	src := NewMmapNDJSONSource([]byte(doc))
+	for name, src := range map[string]SpanSource{
+		"reader": NewNDJSONSource(strings.NewReader(doc)),
+		"mmap":   NewMmapNDJSONSource([]byte(doc)),
+	} {
+		sp, err := src.NextSpan(16)
+		if err != nil || sp.FirstLine != 1 || string(sp.Data) != "{\"a\": \"ok\"}\n" {
+			t.Fatalf("%s: NextSpan before oversized line: %q, %v", name, sp.Data, err)
+		}
+		_, err = src.NextSpan(16)
+		if err == nil || err.Error() != "dqbatch: reading line 2: bufio.Scanner: token too long" {
+			t.Fatalf("%s: oversized line error = %v", name, err)
+		}
+	}
+	rd := NewNDJSONSource(strings.NewReader(doc))
 	rec := make(dqruntime.Record, 2)
-	if _, err := src.Next(rec); err != nil {
+	if _, err := rd.Next(rec); err != nil {
 		t.Fatalf("first line: %v", err)
 	}
-	_, err := src.Next(rec)
-	if err == nil || !strings.Contains(err.Error(), "token too long") {
-		t.Fatalf("oversized line error = %v, want token too long", err)
-	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("oversized line error names wrong line: %v", err)
+	if _, err := rd.Next(rec); err == nil || !strings.Contains(err.Error(), "line 2: bufio.Scanner: token too long") {
+		t.Fatalf("Next: oversized line error = %v", err)
 	}
 
-	src = NewMmapNDJSONSource([]byte(doc))
-	var batch dqruntime.ColumnBatch
-	n, err := src.NextBatch(&batch, 16, func(int64, error) {})
-	if n != 1 || err != nil {
-		t.Fatalf("NextBatch before oversized line: n=%d err=%v", n, err)
-	}
-	batch.Reset()
-	if _, err = src.NextBatch(&batch, 16, func(int64, error) {}); err == nil {
-		t.Fatal("NextBatch swallowed the oversized line")
-	}
-
-	src = NewMmapNDJSONSource([]byte(doc))
-	sp, err := src.NextSpan(16)
-	if err != nil || sp.FirstLine != 1 {
-		t.Fatalf("NextSpan before oversized line: %+v, %v", sp, err)
-	}
-	if _, err = src.NextSpan(16); err == nil {
-		t.Fatal("NextSpan swallowed the oversized line")
+	// A line of exactly maxLineBytes is within bounds on both sources.
+	edge := strings.Repeat(" ", maxLineBytes-2) + "{}\n"
+	for name, src := range map[string]SpanSource{
+		"reader": NewNDJSONSource(strings.NewReader(edge)),
+		"mmap":   NewMmapNDJSONSource([]byte(edge)),
+	} {
+		if sp, err := src.NextSpan(16); err != nil || len(sp.Data) != len(edge) {
+			t.Fatalf("%s: maxLineBytes line rejected: %d bytes, %v", name, len(sp.Data), err)
+		}
 	}
 }
 
@@ -253,9 +183,9 @@ func TestOpenFileSourceRouting(t *testing.T) {
 	} else if _, ok := src.(*NDJSONSource); !ok {
 		t.Fatalf("no-mmap platform routed to %T, want *NDJSONSource", src)
 	}
-	rec, err := src.Next(make(dqruntime.Record, 2))
-	if err != nil || rec["a"] != "1" {
-		t.Fatalf("mmap-backed Next: %v, %v", rec, err)
+	var batch dqruntime.ColumnBatch
+	if n, err := readChunk(src, &batch, 16, func(int64, error) {}); n != 1 || err != nil || batch.Col("a").Raw[0] != "1" {
+		t.Fatalf("mmap-backed read: %d rows, %v", n, err)
 	}
 
 	// Extension picks CSV; the mapped bytes feed the CSV decoder.
@@ -271,7 +201,7 @@ func TestOpenFileSourceRouting(t *testing.T) {
 	if _, ok := csvSrc.(*CSVSource); !ok {
 		t.Fatalf("CSV file routed to %T, want *CSVSource", csvSrc)
 	}
-	rec, err = csvSrc.Next(make(dqruntime.Record, 2))
+	rec, err := csvSrc.(*CSVSource).Next(make(dqruntime.Record, 2))
 	if err != nil || rec["a"] != "1" || rec["b"] != "2" {
 		t.Fatalf("CSV Next: %v, %v", rec, err)
 	}
@@ -289,7 +219,7 @@ func TestOpenFileSourceRouting(t *testing.T) {
 	if _, ok := emptySrc.(*NDJSONSource); !ok {
 		t.Fatalf("empty file routed to %T, want *NDJSONSource fallback", emptySrc)
 	}
-	if _, err := emptySrc.Next(make(dqruntime.Record, 1)); err != io.EOF {
+	if _, err := emptySrc.(*NDJSONSource).Next(make(dqruntime.Record, 1)); err != io.EOF {
 		t.Fatalf("empty file Next = %v, want io.EOF", err)
 	}
 
@@ -299,7 +229,7 @@ func TestOpenFileSourceRouting(t *testing.T) {
 }
 
 // TestFileSourcePipeFallsBack routes a non-regular file (a pipe — the
-// stdin shape) to the streaming decoder: pipes cannot be mapped.
+// stdin shape) to the reader-backed source: pipes cannot be mapped.
 func TestFileSourcePipeFallsBack(t *testing.T) {
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -317,32 +247,25 @@ func TestFileSourcePipeFallsBack(t *testing.T) {
 	if _, ok := src.(*NDJSONSource); !ok {
 		t.Fatalf("pipe routed to %T, want *NDJSONSource fallback", src)
 	}
-	rec, err := src.Next(make(dqruntime.Record, 1))
+	rec, err := src.(*NDJSONSource).Next(make(dqruntime.Record, 1))
 	if err != nil || rec["a"] != "piped" {
 		t.Fatalf("pipe Next: %v, %v", rec, err)
 	}
 }
 
-// TestCountSourcePreservesSpans pins that the progress wrapper keeps a
-// SpanSource's pipelined eligibility and still counts decoded records.
-func TestCountSourcePreservesSpans(t *testing.T) {
-	doc := `{"a": "1"}` + "\n" + `{"a": "2"}` + "\n"
+// TestCountSourcePublishesSpanProgress runs a counted mmap source through
+// the engine: progress ends at every decoded record and the exact input
+// length, published from the in-order stage.
+func TestCountSourcePublishesSpanProgress(t *testing.T) {
+	doc := trickyNDJSON()
 	var p Progress
-	src := CountSource(NewMmapNDJSONSource([]byte(doc)), &p)
-	ssrc, ok := src.(SpanSource)
-	if !ok {
-		t.Fatalf("CountSource dropped SpanSource: %T", src)
-	}
-	sp, err := ssrc.NextSpan(16)
+	res, err := Run(context.Background(), parityValidator(t), CountSource(NewMmapNDJSONSource([]byte(doc)), &p),
+		Options{Workers: 4, ChunkSize: 7, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batch dqruntime.ColumnBatch
-	if n := ssrc.DecodeSpan(sp, &batch, func(int64, error) {}); n != 2 {
-		t.Fatalf("DecodeSpan n = %d, want 2", n)
-	}
-	if p.Records() != 2 {
-		t.Fatalf("progress records = %d, want 2", p.Records())
+	if p.Records() != res.Records || res.Records == 0 {
+		t.Fatalf("progress records = %d, result %d", p.Records(), res.Records)
 	}
 	if p.Bytes() != int64(len(doc)) {
 		t.Fatalf("progress bytes = %d, want %d", p.Bytes(), len(doc))
@@ -350,7 +273,8 @@ func TestCountSourcePreservesSpans(t *testing.T) {
 }
 
 // TestSpanCoverage pins span arithmetic: spans tile the input exactly,
-// first lines are correct, and decode agrees with NextBatch.
+// first lines are correct, and span decoding yields every record the
+// canonical per-record decoder yields.
 func TestSpanCoverage(t *testing.T) {
 	doc := trickyNDJSON()
 	src := NewMmapNDJSONSource([]byte(doc))
@@ -380,20 +304,21 @@ func TestSpanCoverage(t *testing.T) {
 		t.Fatalf("spans covered %d bytes of %d", lastEnd, len(doc))
 	}
 
-	other := NewMmapNDJSONSource([]byte(doc))
+	rows := NewNDJSONSource(strings.NewReader(doc))
 	var n int
 	for {
-		var batch dqruntime.ColumnBatch
-		got, err := other.NextBatch(&batch, 64, func(int64, error) {})
-		n += got
+		_, err := rows.Next(make(dqruntime.Record))
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
+		if _, ok := err.(*RecordError); err != nil && !ok {
 			t.Fatal(err)
+		}
+		if err == nil {
+			n++
 		}
 	}
 	if total != n {
-		t.Fatalf("span decode produced %d rows, NextBatch %d", total, n)
+		t.Fatalf("span decode produced %d rows, Next %d", total, n)
 	}
 }

@@ -3,21 +3,22 @@ package dqbatch
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strconv"
 	"unicode/utf8"
 
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 )
 
-// Fast NDJSON decoding: the mmap ingest path parses the common record
+// Fast NDJSON decoding: the span decoder parses the common record
 // shape — a flat JSON object of unescaped strings, numbers and booleans —
-// straight out of the mapped bytes, skipping encoding/json's reflection
+// straight out of the span bytes, skipping encoding/json's reflection
 // and intermediate map[string]any entirely. Anything unusual (escape
 // sequences, invalid UTF-8, null or nested values, duplicate keys, any
 // syntax the scanner is not certain about) bails out to the exact
-// json.Unmarshal + scalarString path the row decoder uses, so the
-// accept/reject decision and every error text stay byte-identical to the
-// bufio sources. The golden parity suite pins that equivalence.
+// decodeLine path NDJSONSource.Next uses, so the accept/reject decision
+// and every error text stay byte-identical to the canonical decoder.
+// FuzzDecodeLine and the golden parity suites pin that equivalence.
 
 // fastDecodeLine decodes one line into dst as the current row. It returns
 // false — after rolling back any partially appended cells — when the line
@@ -43,7 +44,7 @@ func fastDecodeLine(raw []byte, dst *dqruntime.ColumnBatch, names *[][]byte) boo
 	i++
 	skipWS()
 	if i < n && raw[i] == '}' {
-		// Empty object: a record with no fields, same as the row path's
+		// Empty object: a record with no fields, same as the canonical
 		// empty map.
 		i++
 		skipWS()
@@ -239,24 +240,39 @@ func renderNumber(tok []byte) (string, bool) {
 }
 
 // slowDecodeLine is the canonical per-line decode the fast path defers to:
-// the same json.Unmarshal + scalarString sequence as NDJSONSource.Next,
-// appending the row to dst on success and reporting the decode error
-// through bad otherwise. Returns 1 when a row was appended.
+// decodeLine, exactly as NDJSONSource.Next runs it, appending the row to
+// dst on success and reporting the decode error through bad otherwise.
+// Returns 1 when a row was appended.
 func slowDecodeLine(raw []byte, line int64, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
-	var obj map[string]any
-	if err := json.Unmarshal(raw, &obj); err != nil {
+	if err := decodeLine(raw, dst.SetField); err != nil {
+		dst.AbortRow()
 		bad(line, err)
 		return 0
 	}
-	for k, v := range obj {
-		str, err := scalarString(v)
-		if err != nil {
-			bad(line, fmt.Errorf("field %q: %w", k, err))
-			dst.AbortRow()
-			return 0
-		}
-		dst.SetField(k, str)
-	}
 	dst.EndRow()
 	return 1
+}
+
+// decodeLine is the canonical NDJSON record decoder: json.Unmarshal into a
+// map, then scalarString per field, handing each field to set in key
+// order — so when several fields are unsupported the error always names
+// the first of them.
+func decodeLine(raw []byte, set func(name, value string)) error {
+	var obj map[string]any
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		return err
+	}
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		str, err := scalarString(obj[k])
+		if err != nil {
+			return fmt.Errorf("field %q: %w", k, err)
+		}
+		set(k, str)
+	}
+	return nil
 }

@@ -82,8 +82,7 @@ func TestCSVByteOffsetIsExact(t *testing.T) {
 
 // TestCountSourcePublishesProgress drives a real batch through a counted
 // NDJSON source and checks the progress's final position matches the
-// input, on both the row and the vectorized path (CountSource must
-// preserve the BatchSource capability).
+// input.
 func TestCountSourcePublishesProgress(t *testing.T) {
 	v := buildValidator(t)
 	var b strings.Builder
@@ -92,34 +91,26 @@ func TestCountSourcePublishesProgress(t *testing.T) {
 	}
 	input := b.String()
 
-	for _, rows := range []bool{true, false} {
-		var p Progress
-		src := CountSource(NewNDJSONSource(strings.NewReader(input)), &p)
-		if _, isBatch := src.(BatchSource); !isBatch {
-			t.Fatal("CountSource dropped the BatchSource capability")
-		}
-		res, err := Run(context.Background(), v, src, Options{
-			Workers: 4, ChunkSize: 64, ForceRows: rows, Registry: obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Vectorized == rows {
-			t.Fatalf("ForceRows=%v but Vectorized=%v", rows, res.Vectorized)
-		}
-		if got := p.Records(); got != 500 {
-			t.Fatalf("rows=%v: progress records = %d, want 500", rows, got)
-		}
-		if got, want := p.Bytes(), int64(len(input)); got != want {
-			t.Fatalf("rows=%v: progress bytes = %d, want %d", rows, got, want)
-		}
+	var p Progress
+	src := CountSource(NewNDJSONSource(strings.NewReader(input)), &p)
+	res, err := Run(context.Background(), v, src, Options{
+		Workers: 4, ChunkSize: 64, Registry: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Records(); got != 500 || res.Records != 500 {
+		t.Fatalf("progress records = %d, result %d, want 500", got, res.Records)
+	}
+	if got, want := p.Bytes(), int64(len(input)); got != want {
+		t.Fatalf("progress bytes = %d, want %d", got, want)
 	}
 }
 
 func TestRenderReportMatchesLegacyRendering(t *testing.T) {
 	v := buildValidator(t)
 	res, err := Run(context.Background(), v,
-		NewSliceSource([]dqruntime.Record{goodRecord(), badRecord()}),
+		NewColumnSource([]dqruntime.Record{goodRecord(), badRecord()}),
 		Options{Workers: 1, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)

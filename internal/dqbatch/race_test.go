@@ -28,18 +28,24 @@ type generatorSource struct {
 	limit   int64 // <= 0 means unbounded
 }
 
-func (g *generatorSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
-	n := g.emitted.Add(1)
-	if g.limit > 0 && n > g.limit {
-		return nil, io.EOF
+func (g *generatorSource) NextBatch(dst *dqruntime.ColumnBatch, max int, _ func(int64, error)) (int, error) {
+	for i := 0; i < max; i++ {
+		n := g.emitted.Add(1)
+		if g.limit > 0 && n > g.limit {
+			g.emitted.Add(-1)
+			if i == 0 {
+				return 0, io.EOF
+			}
+			return i, nil
+		}
+		dst.SetField("first_name", "A")
+		dst.SetField("last_name", "B")
+		dst.SetField("email_address", "a@b.co")
+		dst.SetField("overall_evaluation", fmt.Sprintf("%d", n%9-4)) // -4..4: some out of [-3,3]
+		dst.SetField("reviewer_confidence", "3")
+		dst.EndRow()
 	}
-	clear(rec)
-	rec["first_name"] = "A"
-	rec["last_name"] = "B"
-	rec["email_address"] = "a@b.co"
-	rec["overall_evaluation"] = fmt.Sprintf("%d", n%9-4) // -4..4: some out of [-3,3]
-	rec["reviewer_confidence"] = "3"
-	return rec, nil
+	return max, nil
 }
 
 func TestRunManyWorkersAggregatesExactly(t *testing.T) {
@@ -82,12 +88,17 @@ func TestRunCancellationMidStreamStopsAndReportsPartial(t *testing.T) {
 		}
 		cancel()
 	}()
-	res, err := Run(ctx, v, src, Options{Workers: 8, Registry: obs.NewRegistry()})
+	var p Progress
+	res, err := Run(ctx, v, CountSource(src, &p), Options{Workers: 8, Registry: obs.NewRegistry()})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if res == nil || res.Records == 0 {
 		t.Fatalf("partial result = %+v", res)
+	}
+	// Progress counts exactly the records that reached the partial report.
+	if p.Records() != res.Records {
+		t.Fatalf("progress records = %d, partial report records = %d", p.Records(), res.Records)
 	}
 	if res.Records > src.emitted.Load() {
 		t.Fatalf("validated %d records but only %d were emitted", res.Records, src.emitted.Load())
@@ -143,5 +154,53 @@ func TestRunSourceErrorAbortsWithPartial(t *testing.T) {
 	}
 	if res.Records != 20 {
 		t.Fatalf("partial records = %d, want 20", res.Records)
+	}
+}
+
+// slowSpans is a span source whose DecodeSpan takes a while and counts the
+// calls in flight, standing in for a decoder still reading a memory
+// mapping when the caller wants to unmap it.
+type slowSpans struct {
+	*MmapNDJSONSource
+	inFlight, late atomic.Int32
+	returned       atomic.Bool
+}
+
+func (s *slowSpans) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(int64, error)) int {
+	if s.returned.Load() {
+		s.late.Add(1)
+	}
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	time.Sleep(2 * time.Millisecond)
+	return s.MmapNDJSONSource.DecodeSpan(sp, dst, bad)
+}
+
+// TestRunWaitsForDecoders cancels a run mid-stream and checks Run returned
+// only after every decode call finished: none may be in flight, or start,
+// once it returns — otherwise a caller unmapping the input right after
+// Run would pull the bytes out from under a decoder.
+func TestRunWaitsForDecoders(t *testing.T) {
+	v := buildValidator(t)
+	var b strings.Builder
+	for i := 0; i < 20000; i++ {
+		b.WriteString(`{"first_name":"A","last_name":"B","email_address":"a@b.co","overall_evaluation":"1","reviewer_confidence":"3"}` + "\n")
+	}
+	for i := 0; i < 5; i++ {
+		src := &slowSpans{MmapNDJSONSource: NewMmapNDJSONSource([]byte(b.String()))}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		_, err := Run(ctx, v, src, Options{Workers: 8, ChunkSize: 16, Registry: obs.NewRegistry()})
+		src.returned.Store(true)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("run %d: err = %v, want deadline exceeded", i, err)
+		}
+		if n := src.inFlight.Load(); n != 0 {
+			t.Fatalf("run %d: %d DecodeSpan calls still in flight after Run returned", i, n)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if n := src.late.Load(); n != 0 {
+			t.Fatalf("run %d: %d DecodeSpan calls started after Run returned", i, n)
+		}
 	}
 }

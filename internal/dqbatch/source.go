@@ -10,23 +10,20 @@ package dqbatch
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 )
 
-// Source yields records one at a time. The engine offers a recycled map
-// rec; streaming decoders clear and fill it (overwriting every prior key)
-// and return it, while in-memory sources may ignore it and return their
-// own record, skipping the copy — the engine only reads returned records.
-// Next returns io.EOF at end of input. A *RecordError marks one malformed
-// record the engine counts and skips; any other error aborts the batch.
-type Source interface {
-	Next(rec dqruntime.Record) (dqruntime.Record, error)
-}
+// Source is a record stream Run and BuildKeySet read. Every source takes
+// one of two shapes: a SpanSource (NDJSON) only has raw line spans cut off
+// it on the reader goroutine, leaving the decoding to the decode pool; a
+// BatchSource (CSV, ColumnSource) cannot be split and decodes its chunks
+// inline. A value that is neither is rejected with an error.
+type Source interface{}
 
 // RecordError is a recoverable per-record input problem (a malformed
 // NDJSON line, a CSV row with the wrong field count). The engine counts
@@ -50,17 +47,30 @@ func (e *RecordError) Unwrap() error { return e.Err }
 // (bounded memory is part of the contract).
 const maxLineBytes = 1 << 20
 
-// NDJSONSource streams newline-delimited JSON objects. Values may be
-// strings, numbers, booleans or null; scalars are rendered to the string
-// form a web form would deliver (null and nested values are rejected —
-// records are flat field→string maps by construction). Memory use is one
-// line plus the scanner buffer, regardless of input size.
+// NDJSONSource streams newline-delimited JSON objects from any reader —
+// stdin, a pipe, a file on a platform without mmap. Values may be strings,
+// numbers or booleans; scalars are rendered to the string form a web form
+// would deliver (null and nested values are rejected — records are flat
+// field→string maps by construction).
+//
+// It is a SpanSource: NextSpan copies up to maxLines whole lines into a
+// pooled buffer, and DecodeSpan decodes them with the same decoder the
+// memory-mapped source uses, then recycles the buffer. Chunk boundaries,
+// line numbers, byte offsets and the oversized-line error therefore match
+// MmapNDJSONSource byte for byte.
 type NDJSONSource struct {
-	sc   *bufio.Scanner
-	line int64
-	// offset counts input bytes consumed through the end of the last
-	// scanned line, assuming LF terminators (see ByteOffset).
+	r *bufio.Reader
+	// line is the 1-based number of the most recently consumed line;
+	// offset the exact input bytes consumed through its terminator.
+	line   int64
 	offset int64
+	// err is the sticky read error (io.EOF at end of input) that ends the
+	// stream once the lines read before it are delivered.
+	err error
+	// row is Next's line buffer; bufs recycles span buffers between
+	// NextSpan and DecodeSpan.
+	row  []byte
+	bufs sync.Pool
 }
 
 // NewNDJSONSource wraps a reader of NDJSON records.
@@ -73,46 +83,116 @@ func NewNDJSONSource(r io.Reader) *NDJSONSource {
 // errors and checkpoints from a tail read carry true whole-file positions.
 // The caller seeks r; the source only continues the numbering.
 func NewNDJSONSourceAt(r io.Reader, startLine, startOffset int64) *NDJSONSource {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
-	return &NDJSONSource{sc: sc, line: startLine, offset: startOffset}
+	return &NDJSONSource{r: bufio.NewReaderSize(r, 64*1024), line: startLine, offset: startOffset}
 }
 
 // ByteOffset returns the input bytes consumed through the end of the most
-// recently scanned line. Offsets assume LF line terminators (the scanner
-// strips CR, so CRLF input under-counts one byte per line); they exist for
-// progress checkpoints, where a record-aligned resume point matters more
-// than terminator-exact arithmetic. Not safe for concurrent use with Next;
-// a Progress wrapper (CountSource) publishes it across goroutines.
+// recently consumed line, terminator included. Not safe for concurrent use
+// with NextSpan or Next; the engine reads it on the reader goroutine.
 func (s *NDJSONSource) ByteOffset() int64 { return s.offset }
 
-// Next decodes the next non-blank line into rec.
-func (s *NDJSONSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
-	for s.sc.Scan() {
+// appendLine appends the next input line, terminator included, to dst.
+// The error is sticky: once reading fails (io.EOF at end of input, an
+// oversized line, an I/O error) every later call returns it. A line whose
+// content exceeds maxLineBytes is reported as bufio.ErrTooLong at its own
+// line number and is not consumed, exactly as MmapNDJSONSource reports it.
+func (s *NDJSONSource) appendLine(dst []byte) ([]byte, error) {
+	if s.err != nil {
+		return dst, s.err
+	}
+	start := len(dst)
+	for {
+		frag, err := s.r.ReadSlice('\n')
+		dst = append(dst, frag...)
+		if n := len(dst) - start; n > maxLineBytes && (n > maxLineBytes+1 || dst[len(dst)-1] != '\n') {
+			s.err = fmt.Errorf("dqbatch: reading line %d: %w", s.line+1, bufio.ErrTooLong)
+			return dst[:start], s.err
+		}
+		switch err {
+		case bufio.ErrBufferFull:
+			continue
+		case nil:
+		case io.EOF:
+			s.err = io.EOF
+			if len(dst) == start {
+				return dst, io.EOF
+			}
+		default:
+			s.err = fmt.Errorf("dqbatch: reading line %d: %w", s.line+1, err)
+			return dst[:start], s.err
+		}
 		s.line++
-		raw := s.sc.Bytes()
-		s.offset += int64(len(raw)) + 1
+		s.offset += int64(len(dst) - start)
+		return dst, nil
+	}
+}
+
+// NextSpan copies up to maxLines whole lines into a recycled buffer and
+// returns them as one span; io.EOF ends the stream. A read error after
+// some lines were gathered is held back until the next call, so every
+// complete line is decoded first. The span must be passed to DecodeSpan
+// exactly once, which returns its buffer to the pool.
+func (s *NDJSONSource) NextSpan(maxLines int) (Span, error) {
+	buf, _ := s.bufs.Get().([]byte)
+	first := s.line + 1
+	var err error
+	for lines := 0; lines < maxLines; lines++ {
+		if buf, err = s.appendLine(buf); err != nil {
+			break
+		}
+	}
+	if len(buf) == 0 {
+		return Span{}, err
+	}
+	return Span{Data: buf, FirstLine: first}, nil
+}
+
+// DecodeSpan decodes one span from NextSpan into dst and recycles the
+// span's buffer: every cell is copied out of it, so nothing aliases it
+// afterwards. Safe for concurrent use across spans.
+func (s *NDJSONSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
+	n := decodeNDJSONSpan(sp, dst, bad)
+	s.bufs.Put(sp.Data[:0])
+	return n
+}
+
+// NextBatch decodes up to max input lines into dst — NextSpan and
+// DecodeSpan in one call, for callers that want rows without the engine.
+// It returns the rows appended; io.EOF ends the stream.
+func (s *NDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
+	return readChunk(s, dst, max, bad)
+}
+
+// Next decodes the next non-blank line into rec through the canonical
+// encoding/json decoder — the per-record reference the fast span decoder
+// is checked against. A malformed line is a *RecordError.
+func (s *NDJSONSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
+	for {
+		var err error
+		if s.row, err = s.appendLine(s.row[:0]); err != nil {
+			return nil, err
+		}
+		raw := trimLine(s.row)
 		if len(trimSpaceBytes(raw)) == 0 {
 			continue
 		}
-		var obj map[string]any
-		if err := json.Unmarshal(raw, &obj); err != nil {
-			return nil, &RecordError{Line: s.line, Err: err}
-		}
 		clear(rec)
-		for k, v := range obj {
-			str, err := scalarString(v)
-			if err != nil {
-				return nil, &RecordError{Line: s.line, Err: fmt.Errorf("field %q: %w", k, err)}
-			}
-			rec[k] = str
+		if err := decodeLine(raw, func(k, v string) { rec[k] = v }); err != nil {
+			return nil, &RecordError{Line: s.line, Err: err}
 		}
 		return rec, nil
 	}
-	if err := s.sc.Err(); err != nil {
-		return nil, fmt.Errorf("dqbatch: reading line %d: %w", s.line+1, err)
+}
+
+// trimLine strips a line's LF or CRLF terminator, as bufio.ScanLines does.
+func trimLine(b []byte) []byte {
+	if len(b) > 0 && b[len(b)-1] == '\n' {
+		b = b[:len(b)-1]
 	}
-	return nil, io.EOF
+	if len(b) > 0 && b[len(b)-1] == '\r' {
+		b = b[:len(b)-1]
+	}
+	return b
 }
 
 // scalarString renders one JSON value as the string a form field would
@@ -170,12 +250,14 @@ func NewCSVSource(r io.Reader) *CSVSource {
 
 // ByteOffset returns the input bytes consumed through the most recently
 // read record (csv.Reader.InputOffset, so quoting and CRLF are exact). Not
-// safe for concurrent use with Next; a Progress wrapper (CountSource)
-// publishes it across goroutines.
+// safe for concurrent use with Next or NextBatch; the engine reads it on
+// the reader goroutine.
 func (s *CSVSource) ByteOffset() int64 { return s.r.InputOffset() }
 
-// Next decodes the next data row into rec.
-func (s *CSVSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
+// nextRow reads the next data row, consuming the header row first. A
+// malformed row is a *RecordError; io.EOF ends the stream and any other
+// error aborts it.
+func (s *CSVSource) nextRow() ([]string, error) {
 	for {
 		row, err := s.r.Read()
 		if err == io.EOF {
@@ -198,34 +280,30 @@ func (s *CSVSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
 			return nil, &RecordError{Line: s.line,
 				Err: fmt.Errorf("row has %d fields, header has %d", len(row), len(s.header))}
 		}
-		clear(rec)
-		for i, v := range row {
-			rec[s.header[i]] = v
+		return row, nil
+	}
+}
+
+// Next decodes the next data row into rec.
+func (s *CSVSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
+	row, err := s.nextRow()
+	if err != nil {
+		return nil, err
+	}
+	clear(rec)
+	for i, v := range row {
+		rec[s.header[i]] = v
+	}
+	return rec, nil
+}
+
+func hasDuplicates(names []string) bool {
+	seen := make(map[string]struct{}, len(names))
+	for _, n := range names {
+		if _, ok := seen[n]; ok {
+			return true
 		}
-		return rec, nil
+		seen[n] = struct{}{}
 	}
-}
-
-// SliceSource yields an in-memory record slice — the zero-I/O source the
-// benchmarks and tests drive the engine with. It returns its records
-// directly (no copy), so callers must not mutate them while the batch
-// runs.
-type SliceSource struct {
-	records []dqruntime.Record
-	next    int
-}
-
-// NewSliceSource wraps the given records; the slice is read, not copied.
-func NewSliceSource(records []dqruntime.Record) *SliceSource {
-	return &SliceSource{records: records}
-}
-
-// Next returns the next record as-is.
-func (s *SliceSource) Next(dqruntime.Record) (dqruntime.Record, error) {
-	if s.next >= len(s.records) {
-		return nil, io.EOF
-	}
-	r := s.records[s.next]
-	s.next++
-	return r, nil
+	return false
 }

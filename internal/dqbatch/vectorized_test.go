@@ -1,9 +1,10 @@
-// Golden parity for the vectorized pipeline: running the same input
-// through Run with ForceRows and with the columnar path (Workers:1) must
-// produce byte-identical reports — same counts, scores, exemplar order
-// and detail text, same decode errors with the same line numbers — for
-// both NDJSON and CSV, malformed lines included. Timing fields are zeroed
-// before comparison; everything else must match exactly.
+// Golden parity for the batch engine: running the same input through Run
+// and through the sequential per-record reference must produce
+// byte-identical reports — same counts, scores (mean_score included),
+// exemplar order and detail text, same decode errors with the same line
+// numbers — for NDJSON, CSV and column sources, malformed lines included,
+// at Workers 1 and 8. Timing fields are zeroed before comparison;
+// everything else must match exactly.
 package dqbatch
 
 import (
@@ -91,79 +92,75 @@ func normalize(r *Result) {
 	r.LatencyP50 = 0
 	r.LatencyP99 = 0
 	r.Duration = 0
-	r.Vectorized = false
-	r.Pipelined = false
 }
 
-// runParity runs both paths over the same input and returns the
-// normalized results.
-func runParity(t *testing.T, mkSource func() Source) (row, vec *Result) {
+// runParity runs the engine over mkSource and the reference over mkRows —
+// the same input — at Workers 1 and 8 and asserts byte-identical reports.
+// It returns the reference result.
+func runParity(t *testing.T, opts Options, mkSource func() Source, mkRows func() rowSource) *Result {
 	t.Helper()
 	v := parityValidator(t)
-	opts := Options{Workers: 1, ChunkSize: 64, Registry: obs.NewRegistry()}
-
-	opts.ForceRows = true
-	row, err := Run(context.Background(), v, mkSource(), opts)
-	if err != nil {
-		t.Fatalf("row path: %v", err)
+	opts.Registry = obs.NewRegistry()
+	var ref *Result
+	for _, workers := range []int{1, 8} {
+		opts.Workers = workers
+		want, err := referenceRun(v, mkRows(), opts)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		got, err := Run(context.Background(), v, mkSource(), opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		normalize(got)
+		assertIdenticalReports(t, want, got)
+		ref = want
 	}
-	if row.Vectorized {
-		t.Fatal("ForceRows ran the vectorized path")
-	}
-
-	opts.ForceRows = false
-	vec, err = Run(context.Background(), v, mkSource(), opts)
-	if err != nil {
-		t.Fatalf("vectorized path: %v", err)
-	}
-	if !vec.Vectorized {
-		t.Fatal("vectorized path did not engage")
-	}
-	normalize(row)
-	normalize(vec)
-	return row, vec
+	return ref
 }
 
-func assertIdenticalReports(t *testing.T, row, vec *Result) {
+func assertIdenticalReports(t *testing.T, want, got *Result) {
 	t.Helper()
-	rowJSON, err := json.MarshalIndent(row, "", "  ")
+	wantJSON, err := json.MarshalIndent(want, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecJSON, err := json.MarshalIndent(vec, "", "  ")
+	gotJSON, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rowJSON, vecJSON) {
-		t.Fatalf("JSON reports diverged\nrow path:\n%s\nvectorized:\n%s", rowJSON, vecJSON)
+	if !bytes.Equal(wantJSON, gotJSON) {
+		t.Fatalf("JSON reports diverged\nwant:\n%s\ngot:\n%s", wantJSON, gotJSON)
 	}
-	var rowText, vecText bytes.Buffer
-	row.WriteText(&rowText)
-	vec.WriteText(&vecText)
-	if !bytes.Equal(rowText.Bytes(), vecText.Bytes()) {
-		t.Fatalf("text reports diverged\nrow path:\n%s\nvectorized:\n%s", rowText.String(), vecText.String())
+	var wantText, gotText bytes.Buffer
+	want.WriteText(&wantText)
+	got.WriteText(&gotText)
+	if !bytes.Equal(wantText.Bytes(), gotText.Bytes()) {
+		t.Fatalf("text reports diverged\nwant:\n%s\ngot:\n%s", wantText.String(), gotText.String())
 	}
 }
 
 func TestRunParityNDJSON(t *testing.T) {
 	doc := parityNDJSON()
-	row, vec := runParity(t, func() Source { return NewNDJSONSource(strings.NewReader(doc)) })
-	if row.Records == 0 || row.Failed == 0 || row.Malformed == 0 {
-		t.Fatalf("degenerate fixture: %+v", row)
+	ref := runParity(t, Options{ChunkSize: 64},
+		func() Source { return NewNDJSONSource(strings.NewReader(doc)) },
+		func() rowSource { return NewNDJSONSource(strings.NewReader(doc)) })
+	if ref.Records == 0 || ref.Failed == 0 || ref.Malformed == 0 {
+		t.Fatalf("degenerate fixture: %+v", ref)
 	}
-	if len(row.DecodeErrors) == 0 {
+	if len(ref.DecodeErrors) == 0 {
 		t.Fatal("fixture produced no decode errors")
 	}
-	assertIdenticalReports(t, row, vec)
 }
 
 func TestRunParityCSV(t *testing.T) {
 	doc := parityCSV()
-	row, vec := runParity(t, func() Source { return NewCSVSource(strings.NewReader(doc)) })
-	if row.Records == 0 || row.Malformed == 0 {
-		t.Fatalf("degenerate fixture: %+v", row)
+	ref := runParity(t, Options{ChunkSize: 64},
+		func() Source { return NewCSVSource(strings.NewReader(doc)) },
+		func() rowSource { return NewCSVSource(strings.NewReader(doc)) })
+	if ref.Records == 0 || ref.Malformed == 0 {
+		t.Fatalf("degenerate fixture: %+v", ref)
 	}
-	assertIdenticalReports(t, row, vec)
 }
 
 func TestRunParityColumnSource(t *testing.T) {
@@ -175,8 +172,51 @@ func TestRunParityColumnSource(t *testing.T) {
 			"email": "u@example.org", "ts": "2026-01-01T00:00:00Z",
 		})
 	}
-	row, vec := runParity(t, func() Source { return NewColumnSource(recs) })
-	assertIdenticalReports(t, row, vec)
+	runParity(t, Options{ChunkSize: 64},
+		func() Source { return NewColumnSource(recs) },
+		func() rowSource { return &sliceRows{recs: recs} })
+}
+
+// TestRunParityCaseStudy runs the case-study enforcer over review records
+// shaped like a dqserve job's — precision failures, duplicate e-mail
+// addresses under the uniqueness check, malformed lines — against the
+// reference, the same shape the job API and the CLI are pinned to each
+// other on.
+func TestRunParityCaseStudy(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 2000; i++ {
+		if i%97 == 96 {
+			b.WriteString("not json\n")
+			continue
+		}
+		email := fmt.Sprintf("r%d@conf.org", i)
+		if i%11 == 10 {
+			email = "dup@conf.org"
+		}
+		fmt.Fprintf(&b,
+			`{"first_name":"R%d","last_name":"Vee","email_address":"%s","overall_evaluation":%d,"reviewer_confidence":%d}`+"\n",
+			i, email, i%9-4, i%5+1)
+	}
+	doc := b.String()
+	v := benchValidator(t)
+	opts := Options{Registry: obs.NewRegistry(),
+		CrossRecord: []dqruntime.StatefulCheck{dqruntime.UniquenessCheck{Fields: []string{"email_address"}}}}
+	for _, workers := range []int{1, 8} {
+		opts.Workers = workers
+		want, err := referenceRun(v, NewNDJSONSource(strings.NewReader(doc)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(context.Background(), v, NewMmapNDJSONSource([]byte(doc)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		normalize(got)
+		assertIdenticalReports(t, want, got)
+		if want.Failed == 0 || want.Malformed == 0 || want.CrossRecords[0].Violations == 0 {
+			t.Fatalf("degenerate fixture: %+v", want)
+		}
+	}
 }
 
 // TestDecodeErrorLines pins the decode-error capture: line numbers point
@@ -184,29 +224,26 @@ func TestRunParityColumnSource(t *testing.T) {
 // every skipped record regardless.
 func TestDecodeErrorLines(t *testing.T) {
 	doc := "{\"a\": \"1\"}\n{bad\n\n{\"a\": null}\n{worse\n"
-	for _, forceRows := range []bool{true, false} {
-		res, err := Run(context.Background(), parityValidator(t),
-			NewNDJSONSource(strings.NewReader(doc)),
-			Options{Workers: 1, ForceRows: forceRows, MaxDecodeErrors: 2, Registry: obs.NewRegistry()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Records != 1 || res.Malformed != 3 {
-			t.Fatalf("forceRows=%v: records=%d malformed=%d, want 1/3", forceRows, res.Records, res.Malformed)
-		}
-		if len(res.DecodeErrors) != 2 {
-			t.Fatalf("forceRows=%v: %d decode errors retained, want 2 (cap)", forceRows, len(res.DecodeErrors))
-		}
-		if res.DecodeErrors[0].Line != 2 || res.DecodeErrors[1].Line != 4 {
-			t.Fatalf("forceRows=%v: decode error lines %d,%d, want 2,4",
-				forceRows, res.DecodeErrors[0].Line, res.DecodeErrors[1].Line)
-		}
-		if res.DecodeErrors[0].Error == "" {
-			t.Fatalf("forceRows=%v: empty decode error text", forceRows)
-		}
+	res, err := Run(context.Background(), parityValidator(t),
+		NewNDJSONSource(strings.NewReader(doc)),
+		Options{Workers: 1, MaxDecodeErrors: 2, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Records != 1 || res.Malformed != 3 {
+		t.Fatalf("records=%d malformed=%d, want 1/3", res.Records, res.Malformed)
+	}
+	if len(res.DecodeErrors) != 2 {
+		t.Fatalf("%d decode errors retained, want 2 (cap)", len(res.DecodeErrors))
+	}
+	if res.DecodeErrors[0].Line != 2 || res.DecodeErrors[1].Line != 4 {
+		t.Fatalf("decode error lines %d,%d, want 2,4", res.DecodeErrors[0].Line, res.DecodeErrors[1].Line)
+	}
+	if res.DecodeErrors[0].Error == "" {
+		t.Fatal("empty decode error text")
 	}
 	// Negative cap retains nothing but still counts.
-	res, err := Run(context.Background(), parityValidator(t),
+	res, err = Run(context.Background(), parityValidator(t),
 		NewNDJSONSource(strings.NewReader(doc)),
 		Options{Workers: 1, MaxDecodeErrors: -1, Registry: obs.NewRegistry()})
 	if err != nil {
@@ -234,37 +271,26 @@ func TestRunCancelledKeepsPartialReport(t *testing.T) {
 	}
 }
 
-// TestRunVectorizedWorkers runs the columnar path with several workers
-// under load: exact counters must match the sequential row path even
-// though chunk assignment is nondeterministic.
+// TestRunVectorizedWorkers runs the engine with several workers and a
+// small chunk size, so chunk assignment differs from run to run: every
+// report — counters, exemplars and the exact mean_score bits — must still
+// equal the sequential reference's, run after run.
 func TestRunVectorizedWorkers(t *testing.T) {
 	doc := parityNDJSON()
 	v := parityValidator(t)
-	seq, err := Run(context.Background(), v, NewNDJSONSource(strings.NewReader(doc)),
-		Options{Workers: 1, ForceRows: true, Registry: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(context.Background(), v, NewNDJSONSource(strings.NewReader(doc)),
-		Options{Workers: 4, Registry: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Vectorized {
-		t.Fatal("vectorized path did not engage")
-	}
-	if par.Records != seq.Records || par.Passed != seq.Passed ||
-		par.Failed != seq.Failed || par.Malformed != seq.Malformed {
-		t.Fatalf("counters diverged: seq %+v, par %+v", seq, par)
-	}
-	if len(par.Characteristics) != len(seq.Characteristics) {
-		t.Fatalf("characteristics: %d vs %d", len(par.Characteristics), len(seq.Characteristics))
-	}
-	for i := range par.Characteristics {
-		p, s := par.Characteristics[i], seq.Characteristics[i]
-		if p.Characteristic != s.Characteristic || p.Checks != s.Checks || p.Passed != s.Passed ||
-			p.MinScore != s.MinScore || p.MaxScore != s.MaxScore {
-			t.Fatalf("characteristic %d diverged: %+v vs %+v", i, p, s)
+	for _, workers := range []int{1, 2, 8} {
+		opts := Options{Workers: workers, ChunkSize: 16, Registry: obs.NewRegistry()}
+		want, err := referenceRun(v, NewNDJSONSource(strings.NewReader(doc)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 5; rep++ {
+			got, err := Run(context.Background(), v, NewNDJSONSource(strings.NewReader(doc)), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			normalize(got)
+			assertIdenticalReports(t, want, got)
 		}
 	}
 }

@@ -68,9 +68,6 @@ type Config struct {
 	// StageChunkBytes is the staging copy granularity: the durable-offset
 	// checkpoint advances once per chunk. Default 1 MiB.
 	StageChunkBytes int
-	// BatchChunkSize overrides the engine's records-per-work-item size
-	// (dqbatch.Options.ChunkSize); 0 keeps the engine default.
-	BatchChunkSize int
 	// RetainFor bounds how long a terminal job — its staging files and its
 	// API entry — outlives completion; a janitor sweeps older jobs so a
 	// long-running server's disk and job table stay bounded. Default 1h;

@@ -33,10 +33,12 @@ const (
 // JobOptions are the per-job engine knobs, mirroring `dqwebre batch`
 // flags one for one so the served report can be byte-identical to the
 // CLI's. Durations travel as strings ("24h") and are validated at submit.
+// Manifests staged by older servers may also carry "rows" (a retired
+// switch to a per-record engine); unknown keys are ignored, so such jobs
+// load and resume unchanged.
 type JobOptions struct {
 	Workers        int      `json:"workers,omitempty"`
 	Exemplars      int      `json:"exemplars,omitempty"`
-	Rows           bool     `json:"rows,omitempty"`
 	DecodeErrors   int      `json:"decode_errors,omitempty"`
 	Context        string   `json:"context,omitempty"`
 	Unique         []string `json:"unique,omitempty"`
@@ -505,9 +507,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	res, runErr := dqbatch.Run(ctx, enf.Validator(), src, dqbatch.Options{
 		Workers:         j.Opts.Workers,
-		ChunkSize:       s.cfg.BatchChunkSize,
 		MaxExemplars:    j.Opts.Exemplars,
-		ForceRows:       j.Opts.Rows,
 		MaxDecodeErrors: j.Opts.DecodeErrors,
 		Registry:        s.reg,
 		Quality:         s.quality,

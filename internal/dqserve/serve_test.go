@@ -163,11 +163,34 @@ func normalizeReport(t *testing.T, data []byte) string {
 	return buf.String()
 }
 
+// runBatchCLI runs `dqwebre batch -in in` with the given flags and
+// returns its report. For "-" the records file is served as stdin.
+func runBatchCLI(t *testing.T, in, recFile string, flags ...string) []byte {
+	t.Helper()
+	if in == "-" {
+		f, err := os.Open(recFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		stdin := os.Stdin
+		os.Stdin = f
+		defer func() { os.Stdin = stdin }()
+	}
+	var out bytes.Buffer
+	if err := cli.Run(append([]string{"batch", "-in", in}, flags...), &out); err != nil {
+		t.Fatalf("cli batch -in %s: %v", in, err)
+	}
+	return out.Bytes()
+}
+
 // TestServerCLIReportParity is the golden-parity contract: the same
-// records validated through the job API and through `dqwebre batch` yield
-// byte-identical JSON reports (after zeroing timing), across worker
-// counts and both evaluation paths, cross-record findings and decode
-// errors included.
+// records validated through the job API, through `dqwebre batch -in file`
+// (the memory-mapped source) and through `dqwebre batch -in -` (stdin's
+// reader-backed source) yield byte-identical JSON reports (after zeroing
+// timing), across worker counts, cross-record findings and decode errors
+// included. The dqbatch golden parity suites pin the engine behind all
+// three to the sequential per-record reference on the same record shape.
 func TestServerCLIReportParity(t *testing.T) {
 	cfg := testConfig(t)
 	s, ts := startServer(t, cfg)
@@ -178,49 +201,37 @@ func TestServerCLIReportParity(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 8} {
-		for _, rows := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d rows=%v", workers, rows)
+		name := fmt.Sprintf("workers=%d", workers)
+		code, id := submit(t, ts, fmt.Sprintf("?workers=%d&unique=email_address", workers), records)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit = %d", name, code)
+		}
+		j := waitDone(t, s, id)
+		if j.State() != dqserve.StateDone {
+			t.Fatalf("%s: state = %s", name, j.State())
+		}
+		status, serverReport := get(t, ts, "/v1/jobs/"+id+"/report")
+		if status != http.StatusOK {
+			t.Fatalf("%s: report = %d: %s", name, status, serverReport)
+		}
+		serverNorm := normalizeReport(t, serverReport)
 
-			query := fmt.Sprintf("?workers=%d&unique=email_address", workers)
-			cliArgs := []string{"batch", "-model", cfg.DefaultModel, "-in", recFile,
-				"-workers", fmt.Sprint(workers), "-unique", "email_address", "-report", "json"}
-			if rows {
-				query += "&rows=1"
-				cliArgs = append(cliArgs, "-rows")
+		for _, in := range []string{recFile, "-"} {
+			cliOut := runBatchCLI(t, in, recFile, "-model", cfg.DefaultModel,
+				"-workers", fmt.Sprint(workers), "-unique", "email_address", "-report", "json")
+			if cliNorm := normalizeReport(t, cliOut); serverNorm != cliNorm {
+				t.Fatalf("%s -in %s: server and CLI reports diverge:\nserver: %s\ncli: %s",
+					name, in, serverNorm, cliNorm)
 			}
-			code, id := submit(t, ts, query, records)
-			if code != http.StatusAccepted {
-				t.Fatalf("%s: submit = %d", name, code)
-			}
-			j := waitDone(t, s, id)
-			if j.State() != dqserve.StateDone {
-				t.Fatalf("%s: state = %s", name, j.State())
-			}
-			status, serverReport := get(t, ts, "/v1/jobs/"+id+"/report")
-			if status != http.StatusOK {
-				t.Fatalf("%s: report = %d: %s", name, status, serverReport)
-			}
-
-			var cliOut strings.Builder
-			if err := cli.Run(cliArgs, &cliOut); err != nil {
-				t.Fatalf("%s: cli batch: %v", name, err)
-			}
-
-			serverNorm := normalizeReport(t, serverReport)
-			cliNorm := normalizeReport(t, []byte(cliOut.String()))
-			if serverNorm != cliNorm {
-				t.Fatalf("%s: server and CLI reports diverge:\nserver: %s\ncli: %s",
-					name, serverNorm, cliNorm)
-			}
-			// The reports must carry real content, not agree on emptiness.
-			var res dqbatch.Result
-			if err := json.Unmarshal(serverReport, &res); err != nil {
-				t.Fatal(err)
-			}
-			if res.Records == 0 || res.Failed == 0 || res.Malformed == 0 ||
-				len(res.DecodeErrors) == 0 || len(res.CrossRecords) == 0 {
-				t.Fatalf("%s: report lacks expected content: %+v", name, res)
-			}
+		}
+		// The reports must carry real content, not agree on emptiness.
+		var res dqbatch.Result
+		if err := json.Unmarshal(serverReport, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Records == 0 || res.Failed == 0 || res.Malformed == 0 ||
+			len(res.DecodeErrors) == 0 || len(res.CrossRecords) == 0 {
+			t.Fatalf("%s: report lacks expected content: %+v", name, res)
 		}
 	}
 
@@ -230,8 +241,8 @@ func TestServerCLIReportParity(t *testing.T) {
 		t.Fatalf("/metrics = %d", status)
 	}
 	for _, want := range []string{
-		`dqserve_jobs_total{state="submitted"} 4`,
-		`dqserve_jobs_total{state="completed"} 4`,
+		`dqserve_jobs_total{state="submitted"} 2`,
+		`dqserve_jobs_total{state="completed"} 2`,
 		"dq_score{",
 	} {
 		if !strings.Contains(string(metrics), want) {
@@ -425,6 +436,10 @@ func TestCancelRunningJobYieldsPartialReport(t *testing.T) {
 	if res.Records == 0 || res.Records >= total {
 		t.Fatalf("partial records = %d, want mid-stream (0 < n < %d)", res.Records, total)
 	}
+	// Progress counts exactly the records that reached the report.
+	if got := j.Records(); got != res.Records {
+		t.Fatalf("progress records = %d, partial report records = %d", got, res.Records)
+	}
 	if len(res.Characteristics) == 0 {
 		t.Fatal("partial report lost its characteristics")
 	}
@@ -505,6 +520,57 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	_, refReport := get(t, ts2, "/v1/jobs/"+refID+"/report")
 	if normalizeReport(t, resumedReport) != normalizeReport(t, refReport) {
 		t.Fatal("resumed report diverges from uninterrupted run")
+	}
+}
+
+// TestRestartResumesLegacyRowsManifest resumes an interrupted job whose
+// manifest still carries the retired "rows" option: the option is ignored
+// and the resumed report equals the job's original one.
+func TestRestartResumesLegacyRowsManifest(t *testing.T) {
+	cfg := testConfig(t)
+	s1, ts1 := startServer(t, cfg)
+	records := makeNDJSON(3000)
+	code, id := submit(t, ts1, "?workers=2&unique=email_address", records)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	waitDone(t, s1, id)
+	_, original := get(t, ts1, "/v1/jobs/"+id+"/report")
+	s1.Abort()
+
+	// Rewrite the finished job as an interrupted one staged by an older
+	// server: running, no report yet, "rows": true among its options.
+	path := filepath.Join(cfg.StagingDir, id+".job")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["state"] = dqserve.StateRunning
+	m["options"].(map[string]any)["rows"] = true
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(cfg.StagingDir, id+".report.json")); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := startServer(t, cfg)
+	if j := waitDone(t, s2, id); j.State() != dqserve.StateDone {
+		t.Fatalf("resumed state = %s", j.State())
+	}
+	_, resumed := get(t, ts2, "/v1/jobs/"+id+"/report")
+	if _, metrics := get(t, ts2, "/metrics"); !strings.Contains(string(metrics), `dqserve_jobs_total{state="resumed"} 1`) {
+		t.Fatalf("/metrics missing resumed count:\n%s", metrics)
+	}
+	if normalizeReport(t, resumed) != normalizeReport(t, original) {
+		t.Fatalf("resumed report diverges from the original:\nresumed: %s\noriginal: %s", resumed, original)
 	}
 }
 

@@ -1,15 +1,14 @@
 #!/bin/sh
 # Benchmark harness. Three suites, one JSON data point each per CI run:
-#   - batch engine (BenchmarkBatchSequential, BenchmarkBatchParallel{2,4,8},
-#     BenchmarkBatchVectorized, the full-engine BenchmarkBatchVectorized8,
+#   - batch engine (BenchmarkBatchSequential — the per-record reference's
+#     kernel — BenchmarkBatchVectorized, the full-engine BenchmarkBatchVectorized8,
 #     the cross-record BenchmarkBatchUniqueness{1,8} exact/Bloom pairs, the
 #     zero-copy ingest pairs BenchmarkDecode{Bufio,Mmap} and
 #     BenchmarkBatchFile{Bufio,Mmap}, and the uniqueness key-materialization
 #     pair BenchmarkBatchUniquenessKeys{Baseline,Hashed})
 #     → BENCH_batch.json: records/sec, allocs, stride-sampled p50/p99
-#     latency, plus the vectorized-vs-row, parallel-vs-sequential,
-#     uniqueness-vs-parallel, mmap-vs-bufio and key-allocs-reduction
-#     ratios.
+#     latency, plus the vectorized-vs-row, uniqueness-vs-engine,
+#     mmap-vs-bufio and key-allocs-reduction ratios.
 # Each run is also archived under artifacts/bench/<timestamp>_{batch,ocl,obs}.json
 # so scripts/bench_compare.sh can flag throughput regressions against the
 # previous entry.
@@ -17,7 +16,7 @@
 #     expression shape, plus the end-to-end BenchmarkBatchCompiled)
 #     → BENCH_ocl.json: ns/op, allocs/op and compiled-vs-interpreted
 #     speedup per shape.
-#   - observability overhead (BenchmarkBatchParallel8 vs
+#   - observability overhead (BenchmarkBatchVectorized8 vs
 #     BenchmarkBatchAttributed8, run back to back in one process)
 #     → BENCH_obs.json: throughput of the quality-attributed batch path
 #     relative to the uninstrumented one, as an overhead percentage.
@@ -36,7 +35,7 @@ oclraw="$(mktemp)"
 obsraw="$(mktemp)"
 trap 'rm -f "$raw" "$oclraw" "$obsraw"' EXIT
 
-go test -run '^$' -bench 'Benchmark(Batch(Sequential|Parallel[0-9]+|Vectorized[0-9]*|Uniqueness(Bloom)?[0-9]+|File(Bufio|Mmap)|UniquenessKeys(Baseline|Hashed))|Decode(Bufio|Mmap))$' \
+go test -run '^$' -bench 'Benchmark(Batch(Sequential|Vectorized[0-9]*|Uniqueness(Bloom)?[0-9]+|File(Bufio|Mmap)|UniquenessKeys(Baseline|Hashed))|Decode(Bufio|Mmap))$' \
 	-benchmem -benchtime "$benchtime" -count 1 ./internal/dqbatch/ | tee "$raw"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
@@ -64,17 +63,15 @@ END {
 	for (i = 0; i < n; i++) print lines[i] (i < n - 1 ? "," : "")
 	print "  ],"
 	seq = rps["BenchmarkBatchSequential"]
-	par = rps["BenchmarkBatchParallel8"]
 	vec = rps["BenchmarkBatchVectorized"]
 	vec8 = rps["BenchmarkBatchVectorized8"]
 	u8 = rps["BenchmarkBatchUniqueness8"]
 	ub8 = rps["BenchmarkBatchUniquenessBloom8"]
-	printf "  \"speedup_parallel8_vs_sequential\": %.2f,\n", (seq > 0) ? par / seq : 0
 	printf "  \"speedup_vectorized_vs_sequential\": %.2f,\n", (seq > 0) ? vec / seq : 0
 	printf "  \"speedup_vectorized8_vs_sequential\": %.2f,\n", (seq > 0) ? vec8 / seq : 0
 	printf "  \"uniqueness8_records_per_sec\": %.0f,\n", u8
 	printf "  \"uniqueness_bloom8_records_per_sec\": %.0f,\n", ub8
-	printf "  \"uniqueness8_vs_parallel8\": %.2f,\n", (par > 0) ? u8 / par : 0
+	printf "  \"uniqueness8_vs_vectorized8\": %.2f,\n", (vec8 > 0) ? u8 / vec8 : 0
 	db = rps["BenchmarkDecodeBufio"]
 	dm = rps["BenchmarkDecodeMmap"]
 	fb = rps["BenchmarkBatchFileBufio"]
@@ -137,7 +134,7 @@ echo "wrote $oclout"
 # the same build, CPU state and dataset; the delta is attribution alone.
 # -count 3 with best-of taken below, because on shared machines scheduler
 # noise between two 8-worker runs dwarfs the microseconds of attribution.
-go test -run '^$' -bench 'BenchmarkBatch(Parallel8|Attributed8)$' \
+go test -run '^$' -bench 'BenchmarkBatch(Vectorized8|Attributed8)$' \
 	-benchtime "$benchtime" -count 3 ./internal/dqbatch/ | tee "$obsraw"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
@@ -163,10 +160,10 @@ END {
 	print "  \"benchmarks\": ["
 	for (i = 0; i < n; i++) print lines[i] (i < n - 1 ? "," : "")
 	print "  ],"
-	plain = rps["BenchmarkBatchParallel8"]
+	plain = rps["BenchmarkBatchVectorized8"]
 	attr = rps["BenchmarkBatchAttributed8"]
 	overhead = (plain > 0) ? (1 - attr / plain) * 100 : 0
-	printf "  \"best_records_per_sec\": {\"parallel8\": %.0f, \"attributed8\": %.0f},\n", plain, attr
+	printf "  \"best_records_per_sec\": {\"vectorized8\": %.0f, \"attributed8\": %.0f},\n", plain, attr
 	printf "  \"attribution_overhead_percent\": %.2f\n", overhead
 	print "}"
 }' "$obsraw" > "$obsout"
